@@ -104,13 +104,7 @@ class RunConfig:
             raise ValueError("which must be 1, 2 or both")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
-        # SdeConfig re-validates, but fail before simulating anything
-        if self.dt <= 0 or self.n_paths < 1 or self.max_steps < 1:
-            raise ValueError("invalid sde parameters")
-        if self.scheme not in ("cartesian", "polar"):
-            raise ValueError("scheme must be cartesian or polar")
-        if self.exit_mode not in ("bridge", "grid"):
-            raise ValueError("exit_mode must be bridge or grid")
+        self.sde()  # fail before simulating anything
 
     def dims(self):
         """Dimensions selected by the n spec: '5' or a range '3..8'."""
@@ -137,6 +131,16 @@ class RunConfig:
 
     def quadrature(self):
         return QuadratureControl(abs_tol=self.quad_tol)
+
+    def sde(self):
+        return SdeConfig(
+            dt=self.dt,
+            n_paths=self.n_paths,
+            seed=self.seed,
+            max_steps=self.max_steps,
+            scheme=self.scheme,
+            exit_mode=self.exit_mode,
+        )
 
 
 def _axis_point(n, radius):
@@ -215,14 +219,7 @@ def _cmd_coeffs(cfg):
 def _cmd_mc_validate(cfg):
     dim = cfg.dim()
     D = BallDomain(dim, cfg.r)
-    sde = SdeConfig(
-        dt=cfg.dt,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        max_steps=cfg.max_steps,
-        scheme=cfg.scheme,
-        exit_mode=cfg.exit_mode,
-    )
+    sde = cfg.sde()
     if cfg.scheme == "cartesian":
         samples = simulate_cartesian(dim, _axis_point(dim.n, cfg.x), D, sde)
     else:
@@ -498,13 +495,7 @@ def _read_config_file(path):
     return values
 
 
-_FILE_CONVERTERS = {
-    "command": str, "n": str, "r": float, "x": float, "y": float,
-    "theta_grid": int, "k_max": int, "series_tol": float, "quad_tol": float,
-    "dt": float, "n_paths": int, "seed": int, "max_steps": int,
-    "scheme": str, "exit_mode": str, "suite": str, "which": str,
-    "output": str, "format": str, "kmax": int, "paths": int,
-}
+_FILE_CONVERTERS = {f.name: f.type for f in fields(RunConfig)}
 _FILE_ALIASES = {"kmax": "k_max", "paths": "n_paths"}
 
 
@@ -514,9 +505,10 @@ def parse_config(argv):
     merged = {}
     if ns.config:
         for key, raw in _read_config_file(ns.config).items():
-            if key not in _FILE_CONVERTERS:
+            name = _FILE_ALIASES.get(key, key)
+            if name not in _FILE_CONVERTERS:
                 raise ValueError(f"unknown config key {key!r}")
-            merged[_FILE_ALIASES.get(key, key)] = _FILE_CONVERTERS[key](raw)
+            merged[name] = _FILE_CONVERTERS[name](raw)
     for f in fields(RunConfig):
         flag = getattr(ns, f.name, None)
         if flag is not None:

@@ -9,7 +9,7 @@ complex-k half-plane).
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -346,7 +346,8 @@ def _green6_weight(x2, y2, r2):
 
         W(v) = f1 e^{-bv} cosh(cv) + f2 e^{-bv} sinh(cv)/(2 (1-r^2) c),
 
-    with the critical/oscillatory analogues as in laplace_weight."""
+    with the critical/oscillatory analogues: the b, c regimes of
+    laplace_weight with amp1 = f1, amp2 = f2/(2 (1-r^2))."""
     f1 = (
         r2 * (1 + r2) / (1 - r2) * (1 - x2) * (1 - y2)
         + 2 * (1 - x2 * y2)
@@ -385,31 +386,8 @@ def green_closed_n6(D, x, y, qctl=QuadratureControl()):
     if d2 == 0.0:
         raise ValueError("green function is singular at x = y")
     k0 = x2 * y2 - 2 * r2 * xy + r2 * r2
-    b = (7 - r2) / (2 * (1 - r2))
-    disc = r2 * r2 - 14 * r2 + 1
     f1, f2 = _green6_weight(x2, y2, r2)
-    s = 2 * (1 - r2)
-    if abs(disc) < _CRITICAL_BAND:
-
-        def W(v):
-            return (f1 + f2 * v / s) * math.exp(-b * v)
-
-    elif disc > 0:
-        c = math.sqrt(disc) / s
-
-        def W(v):
-            p = 0.5 * (f1 + f2 / (s * c)) * math.exp((c - b) * v)
-            q = 0.5 * (f1 - f2 / (s * c)) * math.exp(-(b + c) * v)
-            return p + q
-
-    else:
-        ct = math.sqrt(-disc) / s
-
-        def W(v):
-            return (
-                f1 * math.cos(ct * v) + f2 * math.sin(ct * v) / (s * ct)
-            ) * math.exp(-b * v)
-
+    W = replace(laplace_weight(D.dim, 0.0, r2), amp1=f1, amp2=f2 / (2 * (1 - r2)))
     integral = _integrate_decaying(
         lambda v: W(v) / _kelvin_quadratic(x2, y2, xy, r2, v) ** 2, qctl
     )

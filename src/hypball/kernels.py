@@ -9,7 +9,6 @@ geometric tail.
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,15 +197,13 @@ def green_coefficient(D, k, ax, R):
 @functools.lru_cache(maxsize=256)
 def _green_table(D, ax, ay, ctl):
     """Series terms b_k = (k+rho)/rho * green_coefficient(k, ax, ay) up to
-    truncation. For ax = ay the geometric bound degenerates (term ratio
-    tends to 1); the table is then cut at k_max and the achieved majorant
-    is reported by the caller."""
+    truncation, with the achieved tail bound. For ax = ay the geometric
+    bound degenerates (term ratio tends to 1) and is never met."""
     dim = D.dim
     rho = dim.rho
     t = ax / ay
     s = ax * ay / D.r**2
     base = max(t, s)
-    equal_radii = t > 1 - 1e-12
     coeffs = []
     majorants = []
     c_at_1 = 1.0
@@ -217,12 +214,10 @@ def _green_table(D, ax, ay, ctl):
         b = (k + rho) / rho * green_coefficient(D, k, ax, ay)
         coeffs.append(b)
         majorants.append(abs(b) * c_at_1)
-        if not equal_radii and k + 1 >= ctl.min_terms:
+        if k + 1 >= ctl.min_terms:
             bound = _fit_tail(majorants, base)
             if bound < ctl.tol:
                 break
-    if equal_radii:
-        bound = _fit_tail(majorants, base)
     return np.array(coeffs), bound
 
 
@@ -232,8 +227,9 @@ def green_function(D, x, y, ctl=SeriesControl()):
         sum_k (k+rho)/rho * green_coefficient(k, |x|, |y|) * C_k(cos theta).
 
     x = 0 (or y = 0) reduces to the k = 0 coefficient alone by rotational
-    symmetry. Equal radii |x| = |y| are allowed but converge slowly; the
-    best value is returned with a warning carrying the achieved bound.
+    symmetry. Raises SeriesTruncationError when the tail bound is not met
+    within k_max terms, which includes every pair at equal radii
+    |x| = |y|, where the geometric bound degenerates.
     """
     ax = x.norm
     ay = y.norm
@@ -252,19 +248,11 @@ def green_function(D, x, y, ctl=SeriesControl()):
     ct = cos_angle(x, y)
     b, bound = _green_table(D, ax, ay, ctl)
     if not bound < ctl.tol:
-        if ax / ay > 1 - 1e-12:
-            warnings.warn(
-                f"equal-radius green series cut at k_max={ctl.k_max}; "
-                f"achieved bound {bound:.3e}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            raise SeriesTruncationError(
-                f"green series tail bound {bound:.3e} exceeds tol "
-                f"{ctl.tol:.3e} at k_max={ctl.k_max}",
-                bound,
-            )
+        raise SeriesTruncationError(
+            f"green series tail bound {bound:.3e} exceeds tol "
+            f"{ctl.tol:.3e} at k_max={ctl.k_max}",
+            bound,
+        )
     ck = gegenbauer_sequence(D.dim.rho, len(b) - 1, ct)
     return float(b @ ck)
 

@@ -5,9 +5,11 @@ the variance-2t Brownian convention throughout: every increment is
 sqrt(2 dt) xi. Exit-law Gegenbauer statistics and the Feynman-Kac gauge
 functional E exp(-int q(R_s) ds) are estimated with standard errors.
 
-Paths are simulated in fixed-size blocks, each block driven by its own
-counter-based Philox stream keyed on (seed, scheme, block index), so runs
-replay bit-identically and blocks could execute in any order.
+One driver, _simulate, runs every scheme: paths are simulated in
+fixed-size blocks, each block driven by its own counter-based Philox
+stream keyed on (seed, scheme, block index), so runs replay
+bit-identically and blocks could execute in any order. A scheme supplies
+only its per-step update.
 """
 
 import math
@@ -136,6 +138,49 @@ def _rng(seed, stream, block):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _simulate(cfg, stream, start, step, gauge=False):
+    """Block driver shared by every scheme. Paths run in blocks, each
+    with its own Philox stream keyed on (seed, stream, block index). A
+    block starts every path from start, one value (scalar or vector) per
+    state array. step(state, rng) advances the state tuple by one time
+    step and returns (state, exited, exit_value, clamps); exit_value holds
+    one entry per exited path (the exit cosine, or the gauge integral when
+    gauge is set) and is read only when some path exited. Exited paths are
+    recorded with their step count and dropped; paths still inside after
+    max_steps are censored. Floor clamps beyond 1% of the path-steps
+    warn."""
+    taus, values = [], []
+    clamped = 0
+    total_steps = 0
+    for block, m0 in enumerate(_block_sizes(cfg.n_paths)):
+        rng = _rng(cfg.seed, stream, block)
+        state = tuple(np.full((m0,) + np.shape(v), v, dtype=float) for v in start)
+        for i in range(1, cfg.max_steps + 1):
+            m = len(state[0])
+            if m == 0:
+                break
+            total_steps += m
+            state, exited, value, clamps = step(state, rng)
+            clamped += clamps
+            if exited.any():
+                taus.append(np.full(int(exited.sum()), i, dtype=np.int64))
+                values.append(value)
+                keep = ~exited
+                state = tuple(a[keep] for a in state)
+    taus = np.concatenate(taus) if taus else np.empty(0, dtype=np.int64)
+    values = np.concatenate(values) if values else np.empty(0)
+    # a gauge chain does not simulate Phi; its exit cosine is unused
+    phis, gauges = (np.ones(len(taus)), values) if gauge else (values, None)
+    out = ExitSamples(taus, phis, gauges, cfg.n_paths, clamped, total_steps)
+    if total_steps and clamped / total_steps > 0.01:
+        warnings.warn(
+            f"R hit the floor on {clamped}/{total_steps} steps; "
+            "dt is too coarse for this start",
+            RuntimeWarning,
+        )
+    return out
+
+
 def simulate_cartesian(dim, x0, D, cfg):
     """Weak second-order step for the Cartesian SDE
 
@@ -166,142 +211,90 @@ def simulate_cartesian(dim, x0, D, cfg):
     dt = cfg.dt
     root = math.sqrt(dt)
     pairs = [(j, l) for j in range(n) for l in range(j + 1, n)]
-    taus, phis = [], []
-    for block, m0 in enumerate(_block_sizes(cfg.n_paths)):
-        rng = _rng(cfg.seed, _STREAM_CARTESIAN, block)
-        x = np.tile(x0v, (m0, 1))
-        rho = np.full(m0, ax0)
-        for step in range(1, cfg.max_steps + 1):
-            m = x.shape[0]
-            if m == 0:
-                break
-            r2 = rho * rho
-            sig = (1.0 - r2)[:, None]
-            dw = root * rng.standard_normal((m, n))
-            # antisymmetric two-point V: V_jl = +-dt (j<l), V_jj = -dt;
-            # M_l = sum_j X_j V_jl stands in for the Ito double integrals
-            signs = dt * (2.0 * rng.integers(0, 2, (m, len(pairs))) - 1.0)
-            mcol = -dt * x
-            for idx, (j, l) in enumerate(pairs):
-                mcol[:, l] += x[:, j] * signs[:, idx]
-                mcol[:, j] -= x[:, l] * signs[:, idx]
-            xdw = np.sum(x * dw, axis=1, keepdims=True)
-            coef = ((n - 2) * r2 + 1.0 - r2)[:, None]
-            x_old = x
-            x = (
-                x
-                + sig * (math.sqrt(2) * dw + (2 * (n - 2) * dt) * x)
-                - 2 * sig * (xdw * dw + mcol)
-                - 2 * math.sqrt(2) * dt * sig * (coef * dw + (n - 2) * xdw * x)
-                - (4 * (n - 2) * dt * dt) * sig * (2 * (1.0 - r2) + (n - 2) * r2)[
-                    :, None
-                ] * x
-            )
-            rho1 = np.linalg.norm(x, axis=1)
-            grid_hit = rho1 >= r
-            exited = grid_hit
-            if cfg.exit_mode == "bridge":
-                u = rng.random(m)
-                s2 = 2 * dt * (1.0 - r2) ** 2
-                p = np.exp(-2 * (r - rho) * np.maximum(r - rho1, 0.0) / s2)
-                exited = grid_hit | (u < p)
-            if exited.any():
-                # exit direction read at the estimated crossing point on
-                # the step segment, not at the endpoint: the endpoint has
-                # diffused past the crossing and biases C_k(Phi) low
-                gh = grid_hit[exited]
-                seg = x[exited] - x_old[exited]
-                a = np.sum(seg * seg, axis=1)
-                b = 2 * np.sum(x_old[exited] * seg, axis=1)
-                c = rho[exited] ** 2 - r * r
-                lam_grid = (-b + np.sqrt(b * b - 4 * a * c)) / (2 * a)
-                d0 = r - rho[exited]
-                d1 = np.maximum(r - rho1[exited], 0.0)
-                lam = np.where(gh, lam_grid, d0 / (d0 + d1))
-                hit = x_old[exited] + lam[:, None] * seg
-                phi = hit @ x0v / (np.linalg.norm(hit, axis=1) * ax0)
-                phis.append(np.clip(phi, -1.0, 1.0))
-                taus.append(np.full(int(exited.sum()), step, dtype=np.int64))
-                keep = ~exited
-                x = x[keep]
-                rho1 = rho1[keep]
-            rho = rho1
-    taus = np.concatenate(taus) if taus else np.empty(0, dtype=np.int64)
-    phis = np.concatenate(phis) if phis else np.empty(0)
-    return ExitSamples(taus, phis, None, cfg.n_paths)
 
-
-def _collect(taus, phis, gauges, want_phi, cfg, clamped, total_steps):
-    taus = np.concatenate(taus) if taus else np.empty(0, dtype=np.int64)
-    if want_phi:
-        phis = np.concatenate(phis) if phis else np.empty(0)
-        gauges = None
-    else:
-        gauges = np.concatenate(gauges) if gauges else np.empty(0)
-        phis = np.ones(len(taus))  # Phi not simulated; exit cosine unused
-    out = ExitSamples(taus, phis, gauges, cfg.n_paths, clamped, total_steps)
-    if total_steps and clamped / total_steps > 0.01:
-        warnings.warn(
-            f"R hit the floor on {clamped}/{total_steps} steps; "
-            "dt is too coarse for this start",
-            RuntimeWarning,
+    def step(state, rng):
+        x, rho = state
+        m = len(rho)
+        r2 = rho * rho
+        sig = (1.0 - r2)[:, None]
+        dw = root * rng.standard_normal((m, n))
+        # antisymmetric two-point V: V_jl = +-dt (j<l), V_jj = -dt;
+        # M_l = sum_j X_j V_jl stands in for the Ito double integrals
+        signs = dt * (2.0 * rng.integers(0, 2, (m, len(pairs))) - 1.0)
+        mcol = -dt * x
+        for idx, (j, l) in enumerate(pairs):
+            mcol[:, l] += x[:, j] * signs[:, idx]
+            mcol[:, j] -= x[:, l] * signs[:, idx]
+        xdw = np.sum(x * dw, axis=1, keepdims=True)
+        coef = ((n - 2) * r2 + 1.0 - r2)[:, None]
+        x_new = (
+            x
+            + sig * (math.sqrt(2) * dw + (2 * (n - 2) * dt) * x)
+            - 2 * sig * (xdw * dw + mcol)
+            - 2 * math.sqrt(2) * dt * sig * (coef * dw + (n - 2) * xdw * x)
+            - (4 * (n - 2) * dt * dt) * sig * (2 * (1.0 - r2) + (n - 2) * r2)[
+                :, None
+            ] * x
         )
-    return out
+        rho1 = np.linalg.norm(x_new, axis=1)
+        grid_hit = rho1 >= r
+        exited = grid_hit
+        if cfg.exit_mode == "bridge":
+            u = rng.random(m)
+            s2 = 2 * dt * (1.0 - r2) ** 2
+            p = np.exp(-2 * (r - rho) * np.maximum(r - rho1, 0.0) / s2)
+            exited = grid_hit | (u < p)
+        phi = None
+        if exited.any():
+            # exit direction read at the estimated crossing point on the
+            # step segment, not at the endpoint: the endpoint has diffused
+            # past the crossing and biases C_k(Phi) low
+            gh = grid_hit[exited]
+            seg = x_new[exited] - x[exited]
+            a = np.sum(seg * seg, axis=1)
+            b = 2 * np.sum(x[exited] * seg, axis=1)
+            c = rho[exited] ** 2 - r * r
+            lam_grid = (-b + np.sqrt(b * b - 4 * a * c)) / (2 * a)
+            d0 = r - rho[exited]
+            d1 = np.maximum(r - rho1[exited], 0.0)
+            lam = np.where(gh, lam_grid, d0 / (d0 + d1))
+            hit = x[exited] + lam[:, None] * seg
+            phi = np.clip(hit @ x0v / (np.linalg.norm(hit, axis=1) * ax0), -1.0, 1.0)
+        return (x_new, rho1), exited, phi, 0
+
+    return _simulate(cfg, _STREAM_CARTESIAN, (x0v, ax0), step)
 
 
 def _polar_grid_core(dim, R0, phi0, D, cfg, potential, stream):
     """Plain Euler-Maruyama loop for the polar pair (R, Phi), exit at the
     first grid crossing; when a potential is given, Phi is not simulated
     (the gauge only needs R) and the left-endpoint Riemann sum of q(R) dt
-    is accumulated instead."""
+    is accumulated in its place."""
     n = dim.n
     r2 = D.r**2
     root = math.sqrt(2 * cfg.dt)
-    want_phi = potential is None
-    taus, phis, gauges = [], [], []
-    clamped = 0
-    total_steps = 0
-    for block, m0 in enumerate(_block_sizes(cfg.n_paths)):
-        rng = _rng(cfg.seed, stream, block)
-        R = np.full(m0, float(R0))
-        phi = np.full(m0, float(phi0)) if want_phi else None
-        J = None if want_phi else np.zeros(m0)
-        for step in range(1, cfg.max_steps + 1):
-            m = R.shape[0]
-            if m == 0:
-                break
-            total_steps += m
-            xi = rng.standard_normal((m, 2 if want_phi else 1))
-            one_m = 1.0 - R
-            if not want_phi:
-                J = J + potential(R) * cfg.dt
-            Rn = R + 2 * one_m * (
-                np.sqrt(R) * root * xi[:, 0] + ((n - 4) * R + n) * cfg.dt
-            )
-            low = Rn < cfg.r_floor
-            clamped += int(low.sum())
-            Rn = np.maximum(Rn, cfg.r_floor)
-            if want_phi:
-                phi = phi + one_m * np.sqrt(
-                    np.clip(1 - phi * phi, 0, None) / R
-                ) * root * xi[:, 1] - (n - 1) * one_m * one_m / R * phi * cfg.dt
-                phi = np.clip(phi, -1.0, 1.0)
-            exited = Rn >= r2
-            if exited.any():
-                cnt = int(exited.sum())
-                taus.append(np.full(cnt, step, dtype=np.int64))
-                if want_phi:
-                    phis.append(phi[exited])
-                else:
-                    gauges.append(J[exited])
-                keep = ~exited
-                Rn = Rn[keep]
-                if want_phi:
-                    phi = phi[keep]
-                else:
-                    J = J[keep]
-            R = Rn
-    return _collect(taus, phis, gauges, want_phi, cfg, clamped, total_steps)
+    gauge = potential is not None
+
+    def step(state, rng):
+        R, phi = state  # phi holds the gauge integral J when gauge is set
+        xi = rng.standard_normal((len(R), 1 if gauge else 2))
+        one_m = 1.0 - R
+        Rn = R + 2 * one_m * (
+            np.sqrt(R) * root * xi[:, 0] + ((n - 4) * R + n) * cfg.dt
+        )
+        clamps = int((Rn < cfg.r_floor).sum())
+        Rn = np.maximum(Rn, cfg.r_floor)
+        if gauge:
+            phi = phi + potential(R) * cfg.dt
+        else:
+            phi = phi + one_m * np.sqrt(
+                np.clip(1 - phi * phi, 0, None) / R
+            ) * root * xi[:, 1] - (n - 1) * one_m * one_m / R * phi * cfg.dt
+            phi = np.clip(phi, -1.0, 1.0)
+        exited = Rn >= r2
+        return (Rn, phi), exited, phi[exited], clamps
+
+    return _simulate(cfg, stream, (R0, 0.0 if gauge else phi0), step, gauge)
 
 
 def _cot_minus_inv(x):
@@ -396,65 +389,47 @@ def _polar_bridge_core(dim, R0, theta0, D, cfg, potential, stream):
     S_bar = math.atanh(D.r)
     S_floor = math.atanh(math.sqrt(cfg.r_floor))
     root = math.sqrt(2 * cfg.dt)
-    want_phi = potential is None
-    taus, phis, gauges = [], [], []
-    clamped = 0
-    total_steps = 0
+    gauge = potential is not None
+
     def rate(R):
         return (1 - R) ** 2 / R
 
-    for block, m0 in enumerate(_block_sizes(cfg.n_paths)):
-        rng = _rng(cfg.seed, stream, block)
-        S = np.full(m0, math.atanh(math.sqrt(R0)))
-        theta = np.full(m0, float(theta0)) if want_phi else None
-        J = None if want_phi else np.zeros(m0)
-        for step in range(1, cfg.max_steps + 1):
-            m = S.shape[0]
-            if m == 0:
-                break
-            total_steps += m
-            xi = rng.standard_normal(m)
-            u = rng.random(m)
-            R = np.tanh(S) ** 2
-            drift = (2 * (n - 1)) / np.tanh(2 * S)
-            pred = np.maximum(S + root * xi + drift * cfg.dt, S_floor)
-            Sn = S + root * xi + (0.5 * cfg.dt) * (
-                drift + (2 * (n - 1)) / np.tanh(2 * pred)
+    def step(state, rng):
+        S, theta = state  # theta holds the gauge integral J when gauge is set
+        m = len(S)
+        xi = rng.standard_normal(m)
+        u = rng.random(m)
+        R = np.tanh(S) ** 2
+        drift = (2 * (n - 1)) / np.tanh(2 * S)
+        pred = np.maximum(S + root * xi + drift * cfg.dt, S_floor)
+        Sn = S + root * xi + (0.5 * cfg.dt) * (
+            drift + (2 * (n - 1)) / np.tanh(2 * pred)
+        )
+        grid_hit = Sn >= S_bar
+        d0 = S_bar - S
+        d1 = np.maximum(S_bar - Sn, 0.0)
+        p = np.exp(-d0 * d1 / cfg.dt)
+        exited = grid_hit | (u < p)
+        # crossing fraction of the exit step; 1 on interior steps
+        lam = np.ones(m)
+        if exited.any():
+            lam[exited] = _mean_crossing_fraction(
+                d0[exited] / root, np.abs(S_bar - Sn)[exited] / root
             )
-            grid_hit = Sn >= S_bar
-            d0 = S_bar - S
-            d1 = np.maximum(S_bar - Sn, 0.0)
-            p = np.exp(-d0 * d1 / cfg.dt)
-            exited = grid_hit | (u < p)
-            # crossing fraction of the exit step; 1 on interior steps
-            lam = np.ones(m)
-            if exited.any():
-                lam[exited] = _mean_crossing_fraction(
-                    d0[exited] / root, np.abs(S_bar - Sn)[exited] / root
-                )
-            R_end = np.where(exited, D.r**2, np.tanh(np.minimum(Sn, S_bar)) ** 2)
-            if want_phi:
-                f_dt = (0.5 * cfg.dt) * (rate(R) + rate(R_end)) * lam
-                theta = _sphere_angle_step(theta, f_dt, rng, n)
-            else:
-                J = J + (0.5 * cfg.dt) * (potential(R) + potential(R_end)) * lam
-            if exited.any():
-                cnt = int(exited.sum())
-                taus.append(np.full(cnt, step, dtype=np.int64))
-                if want_phi:
-                    phis.append(np.cos(theta[exited]))
-                else:
-                    gauges.append(J[exited])
-                keep = ~exited
-                Sn = Sn[keep]
-                if want_phi:
-                    theta = theta[keep]
-                else:
-                    J = J[keep]
-            low = Sn < S_floor
-            clamped += int(low.sum())
-            S = np.maximum(Sn, S_floor)
-    return _collect(taus, phis, gauges, want_phi, cfg, clamped, total_steps)
+        R_end = np.where(exited, D.r**2, np.tanh(np.minimum(Sn, S_bar)) ** 2)
+        if gauge:
+            theta = theta + (0.5 * cfg.dt) * (potential(R) + potential(R_end)) * lam
+            value = theta[exited]
+        else:
+            f_dt = (0.5 * cfg.dt) * (rate(R) + rate(R_end)) * lam
+            theta = _sphere_angle_step(theta, f_dt, rng, n)
+            value = np.cos(theta[exited])
+        # the floor is counted only on paths that go on
+        clamps = int(np.count_nonzero((Sn < S_floor) & ~exited))
+        return (np.maximum(Sn, S_floor), theta), exited, value, clamps
+
+    S0 = math.atanh(math.sqrt(R0))
+    return _simulate(cfg, stream, (S0, 0.0 if gauge else theta0), step, gauge)
 
 
 def simulate_polar(dim, R0, D, cfg, phi0=1.0):
@@ -482,8 +457,7 @@ def simulate_polar(dim, R0, D, cfg, phi0=1.0):
         raise ValueError("needs R0 in (0, r^2)")
     if cfg.exit_mode == "grid":
         return _polar_grid_core(dim, R0, phi0, D, cfg, None, _STREAM_POLAR)
-    theta0 = math.acos(phi0)
-    return _polar_bridge_core(dim, R0, theta0, D, cfg, None, _STREAM_POLAR)
+    return _polar_bridge_core(dim, R0, math.acos(phi0), D, cfg, None, _STREAM_POLAR)
 
 
 def estimate_gauge(dim, k, R0, D, cfg):
@@ -499,10 +473,8 @@ def estimate_gauge(dim, k, R0, D, cfg):
     if not 0 < R0 < D.r**2:
         raise ValueError("needs R0 in (0, r^2)")
     q = Potential(k, dim)
-    if cfg.exit_mode == "grid":
-        samples = _polar_grid_core(dim, R0, 1.0, D, cfg, q, _STREAM_GAUGE + k)
-    else:
-        samples = _polar_bridge_core(dim, R0, 0.0, D, cfg, q, _STREAM_GAUGE + k)
+    core = _polar_grid_core if cfg.exit_mode == "grid" else _polar_bridge_core
+    samples = core(dim, R0, None, D, cfg, q, _STREAM_GAUGE + k)
     if samples.censored_fraction > 1e-3:
         warnings.warn(
             f"censored fraction {samples.censored_fraction:.2e} exceeds 1e-3",

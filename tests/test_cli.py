@@ -157,10 +157,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):
-    # |x|/r = 0.917 needs far more than 10 terms at tol 1e-10
-    out = tmp_path / "pk.csv"
-    cfg = parse_config(["pk-eval", "--kmax", "10", "--x", "0.55",
-                        "--output", str(out)])
-    assert run(cfg) == 3
-    rec = json.loads(capsys.readouterr().err)
-    assert rec["error"] == "SeriesTruncationError" and rec["status"] == 3
+    for argv in (
+        # |x|/r = 0.917 needs far more than 10 terms at tol 1e-10
+        ["pk-eval", "--kmax", "10", "--x", "0.55"],
+        # equal radii: the Green tail bound degenerates and is never met
+        ["green-eval", "--n", "6", "--x", "0.3", "--y", "0.3"],
+    ):
+        out = tmp_path / "out.csv"
+        assert run(parse_config(argv + ["--output", str(out)])) == 3
+        rec = json.loads(capsys.readouterr().err)
+        assert rec["error"] == "SeriesTruncationError" and rec["status"] == 3
+        assert not out.exists()

@@ -183,14 +183,16 @@ def test_green_positive_and_vanishing_at_boundary():
     assert 0 < edge < 1e-3 * mid
 
 
-def test_green_equal_radii_warns():
+def test_green_equal_radii_raises():
+    # at |x| = |y| the geometric tail bound degenerates; the truncated sum
+    # is far off the closed form, so it must not be returned
     D = ball(4)
     x = Point([0.3, 0, 0, 0])
     y = Point([0.0, 0.3, 0, 0])
     ctl = SeriesControl(k_max=300, tol=1e-10)
-    with pytest.warns(RuntimeWarning, match="equal-radius"):
-        val = green_function(D, x, y, ctl)
-    assert val > 0
+    with pytest.raises(SeriesTruncationError) as err:
+        green_function(D, x, y, ctl)
+    assert err.value.achieved == math.inf
 
 
 def test_green_truncation_error():

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hypball import mc_sim
 from hypball.geometry import BallDomain, Point
 from hypball.kernels import poisson_coefficient, poisson_kernel
 from hypball.mc_sim import (
@@ -142,6 +143,34 @@ def test_censoring_is_counted_not_dropped():
     assert 0 < len(s) < 400
     assert s.censored == 400 - len(s)
     assert s.censored_fraction == pytest.approx(s.censored / 400)
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "bridge", "grid", "gauge"])
+def test_total_steps_counts_every_path_step(kind, monkeypatch):
+    # every exited path took tau_steps steps, every censored one max_steps;
+    # the samples are caught at construction, as estimate_gauge returns
+    # only the mean
+    made = []
+
+    class Recorded(mc_sim.ExitSamples):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(mc_sim, "ExitSamples", Recorded)
+    cfg = SdeConfig(dt=1e-3, n_paths=400, seed=13, max_steps=40,
+                    scheme="cartesian" if kind == "cartesian" else "polar",
+                    exit_mode="grid" if kind == "grid" else "bridge")
+    if kind == "cartesian":
+        simulate_cartesian(DIM4, X0, BALL4, cfg)
+    elif kind == "gauge":
+        with pytest.warns(RuntimeWarning, match="censored"):
+            estimate_gauge(DIM4, 1, 0.09, BALL4, cfg)
+    else:
+        simulate_polar(DIM4, 0.09, BALL4, cfg)
+    (s,) = made
+    assert s.censored > 0
+    assert s.total_steps == s.tau_steps.sum() + s.censored * cfg.max_steps
 
 
 def test_heavy_censoring_warns_on_gauge():
