@@ -18,6 +18,7 @@ from .specfun import (
     Dimension,
     F_k,
     G_k,
+    _as_order,
     gegenbauer_at_one,
     gegenbauer_sequence,
 )
@@ -71,24 +72,45 @@ def _green_prefactor(dim):
     return math.gamma(dim.n / 2 - 1) / (4 * math.pi ** (dim.n / 2))
 
 
+def _powers(q, k):
+    """q**k by Python float powers (np.power can differ in the last bit)."""
+    if np.ndim(k) == 0:
+        return q**k
+    return np.array([q**j for j in k.tolist()])
+
+
+@functools.lru_cache(maxsize=256)
+def _boundary_block(fn, dim, z, k0, k1):
+    values = fn(dim, np.arange(k0, k1), z)
+    values.flags.writeable = False  # shared by every caller
+    return values
+
+
+def _at_boundary(fn, dim, k, z):
+    """fn(dim, k, z) at the boundary z = r^2. A block of consecutive orders
+    is cached: the tables revisit the same blocks at every |x|, |y|."""
+    if np.ndim(k) and k.size and np.all(np.diff(k) == 1):
+        return _boundary_block(fn, dim, z, int(k[0]), int(k[-1]) + 1)
+    return fn(dim, k, z)
+
+
 def poisson_coefficient(D, k, ax):
     """Gegenbauer coefficient of harmonic measure seen from |x| = ax:
 
         (ax/r)^k F_k(ax^2) / F_k(r^2).
 
-    Equals the expectation of C_k(cos angle at exit) / C_k(1).
+    Equals the expectation of C_k(cos angle at exit) / C_k(1). An integer
+    array k gives the array of coefficients.
     """
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a non-negative integer")
+    k = _as_order(k)
     if not 0 <= ax < D.r:
         raise ValueError("needs 0 <= ax < r")
-    k = int(k)
-    fr = F_k(D.dim, k, D.r**2)
-    if abs(fr) < 1e-14:
+    fr = _at_boundary(F_k, D.dim, k, D.r**2)
+    if np.any(np.abs(fr) < 1e-14):
         raise RuntimeError("F_k(r^2) vanished; radial solution is corrupt")
     if ax == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return (ax / D.r) ** k * F_k(D.dim, k, ax**2) / fr
+        return float(k == 0) if np.ndim(k) == 0 else (k == 0).astype(float)
+    return _powers(ax / D.r, k) * F_k(D.dim, k, ax**2) / fr
 
 
 def _fit_tail(majorants, base_ratio):
@@ -105,36 +127,50 @@ def _fit_tail(majorants, base_ratio):
     return c * q / (1 - q)
 
 
-@functools.lru_cache(maxsize=256)
-def _poisson_table(D, ax, ctl):
-    """Coefficients a_k = (k+rho)/rho * poisson_coefficient(k) up to the
-    truncation point, cached per (domain, |x|, control)."""
-    dim = D.dim
-    rho = dim.rho
-    area = sphere_area(dim, D.r)
-    target = ctl.tol * area
-    q = ax / D.r
+def _series_table(dim, coefficient, base, target, ctl):
+    """Terms (k+rho)/rho * coefficient(k) up to the first k >= min_terms - 1
+    whose fitted tail bound is below target, with that bound (or the last
+    bound reached at k_max). The coefficients come in blocks of k, but the
+    cut is the one a term-by-term loop makes."""
+    if base >= 1:
+        # the geometric tail bound can never be met
+        return np.empty(0), math.inf
     coeffs = []
     majorants = []
     c_at_1 = 1.0
     bound = math.inf
-    for k in range(ctl.k_max + 1):
-        if k > 0:
-            c_at_1 *= (k + dim.n - 3) / k
-        a = (k + rho) / rho * poisson_coefficient(D, k, ax)
-        coeffs.append(a)
-        majorants.append(abs(a) * c_at_1)
-        if k + 1 >= ctl.min_terms:
-            bound = _fit_tail(majorants, q)
-            if bound < target:
-                break
-    if not bound < target:
+    k0, size = 0, 64  # each block of orders is twice as long as the last
+    while k0 <= ctl.k_max:
+        ks = np.arange(k0, min(k0 + size, ctl.k_max + 1))
+        block = (ks + dim.rho) / dim.rho * coefficient(ks)
+        for k, a in zip(ks.tolist(), block.tolist()):
+            if k > 0:
+                c_at_1 *= (k + dim.n - 3) / k
+            coeffs.append(a)
+            majorants.append(abs(a) * c_at_1)
+            if k + 1 >= ctl.min_terms:
+                bound = _fit_tail(majorants, base)
+                if bound < target:
+                    return np.array(coeffs), bound
+        k0, size = k0 + size, 2 * size
+    return np.array(coeffs), bound
+
+
+@functools.lru_cache(maxsize=256)
+def _poisson_table(D, ax, ctl):
+    """Coefficients a_k = (k+rho)/rho * poisson_coefficient(k) up to the
+    truncation point, cached per (domain, |x|, control)."""
+    area = sphere_area(D.dim, D.r)
+    coeffs, bound = _series_table(
+        D.dim, lambda ks: poisson_coefficient(D, ks, ax), ax / D.r, ctl.tol * area, ctl
+    )
+    if not bound < ctl.tol * area:
         raise SeriesTruncationError(
             f"poisson series tail bound {bound / area:.3e} exceeds tol "
             f"{ctl.tol:.3e} at k_max={ctl.k_max}",
             bound / area,
         )
-    return np.array(coeffs)
+    return coeffs
 
 
 def poisson_kernel(D, x, y, ctl=SeriesControl()):
@@ -167,28 +203,27 @@ def green_coefficient(D, k, ax, R):
             [ G_k(R^2)/R^(2k+2rho) - G_k(r^2)/r^(2k+2rho) F_k(R^2)/F_k(r^2) ]
 
     evaluated in the ratio form (ax/R)^k and (ax R/r^2)^k so large k never
-    overflows. Symmetric in (ax, R); arguments are ordered internally.
+    overflows. Symmetric in (ax, R); arguments are ordered internally. An
+    integer array k gives the array of coefficients.
     """
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a non-negative integer")
-    k = int(k)
+    k = _as_order(k)
     r = D.r
     if not (0 <= ax < r and 0 < R < r):
         raise ValueError("needs 0 <= ax < r and 0 < R < r")
     if ax > R:
         ax, R = R, ax
-    if ax == 0.0 and k >= 1:
+    if ax == 0.0 and np.ndim(k) == 0 and k >= 1:
         return 0.0
     dim = D.dim
     rho = dim.rho
     t = ax / R
     s = ax * R / r**2
-    fr = F_k(dim, k, r**2)
-    if abs(fr) < 1e-14:
+    fr = _at_boundary(F_k, dim, k, r**2)
+    if np.any(np.abs(fr) < 1e-14):
         raise RuntimeError("F_k(r^2) vanished; radial solution is corrupt")
-    bracket = t**k * G_k(dim, k, R**2) / R ** (2 * rho) - s**k * G_k(
-        dim, k, r**2
-    ) * F_k(dim, k, R**2) / (fr * r ** (2 * rho))
+    bracket = _powers(t, k) * G_k(dim, k, R**2) / R ** (2 * rho) - _powers(
+        s, k
+    ) * _at_boundary(G_k, dim, k, r**2) * F_k(dim, k, R**2) / (fr * r ** (2 * rho))
     return (
         _green_prefactor(dim) * rho / (k + rho) * F_k(dim, k, ax**2) * bracket
     )
@@ -198,27 +233,11 @@ def green_coefficient(D, k, ax, R):
 def _green_table(D, ax, ay, ctl):
     """Series terms b_k = (k+rho)/rho * green_coefficient(k, ax, ay) up to
     truncation, with the achieved tail bound. For ax = ay the geometric
-    bound degenerates (term ratio tends to 1) and is never met."""
-    dim = D.dim
-    rho = dim.rho
-    t = ax / ay
-    s = ax * ay / D.r**2
-    base = max(t, s)
-    coeffs = []
-    majorants = []
-    c_at_1 = 1.0
-    bound = math.inf
-    for k in range(ctl.k_max + 1):
-        if k > 0:
-            c_at_1 *= (k + dim.n - 3) / k
-        b = (k + rho) / rho * green_coefficient(D, k, ax, ay)
-        coeffs.append(b)
-        majorants.append(abs(b) * c_at_1)
-        if k + 1 >= ctl.min_terms:
-            bound = _fit_tail(majorants, base)
-            if bound < ctl.tol:
-                break
-    return np.array(coeffs), bound
+    bound degenerates (term ratio 1) and no term is built."""
+    base = max(ax / ay, ax * ay / D.r**2)
+    return _series_table(
+        D.dim, lambda ks: green_coefficient(D, ks, ax, ay), base, ctl.tol, ctl
+    )
 
 
 def green_function(D, x, y, ctl=SeriesControl()):

@@ -64,7 +64,7 @@ class HypParams:
 
 
 def _nonpos_int(x):
-    return x <= 0 and x == round(x)
+    return (x <= 0) & (x == np.round(x))
 
 
 def pochhammer(a, i):
@@ -82,19 +82,13 @@ def pochhammer(a, i):
 
 
 def _series_stop(alpha, beta, gamma):
-    """Truncation index for the hypergeometric series, or None if the
-    series does not terminate."""
-    if _nonpos_int(gamma):
-        # truncated definition: stop at i = l = -alpha
-        m = int(round(-gamma))
-        if _nonpos_int(alpha) and -alpha <= m:
-            return int(round(-alpha))
+    """Truncation index for the hypergeometric series, elementwise over
+    parameter arrays; -1 where the series does not terminate."""
+    na, nb = _nonpos_int(alpha), _nonpos_int(beta)
+    if np.any(_nonpos_int(gamma) & ~(na & (alpha >= gamma))):
+        # the truncated definition needs alpha = -l with l <= -gamma
         raise ValueError("non-positive integer gamma outside the truncated case")
-    if _nonpos_int(alpha):
-        return int(round(-alpha))
-    if _nonpos_int(beta):
-        return int(round(-beta))
-    return None
+    return np.rint(np.where(na, -alpha, np.where(nb, -beta, -1))).astype(int)
 
 
 def _hyp_series(alpha, beta, gamma, z, tol):
@@ -104,13 +98,13 @@ def _hyp_series(alpha, beta, gamma, z, tol):
     the current term plus a geometric tail bound (the term ratio approaches
     z) drops below tol.
     """
-    stop = _series_stop(alpha, beta, gamma)
+    stop = int(_series_stop(alpha, beta, gamma))
     total = 1.0
     dtotal = 0.0
     term = 1.0
     i = 0
     while True:
-        if stop is not None and i >= stop:
+        if 0 <= stop <= i:
             break
         denom = (gamma + i) * (1 + i)
         term = term * (alpha + i) * (beta + i) * z / denom
@@ -121,7 +115,7 @@ def _hyp_series(alpha, beta, gamma, z, tol):
         else:
             if i == 1:
                 dtotal += alpha * beta / gamma
-        if stop is None:
+        if stop < 0:
             ratio = abs((alpha + i) * (beta + i) * z / ((gamma + i) * (1 + i)))
             q = max(abs(z), ratio)
             if q < 1 and abs(term) * (1 + q / (1 - q)) < tol:
@@ -129,6 +123,48 @@ def _hyp_series(alpha, beta, gamma, z, tol):
             if i > 100000:
                 raise RuntimeError("hypergeometric series did not converge")
     return total, dtotal
+
+
+def _hyp_sweep(alpha, beta, gamma, z, tol):
+    """Value of _hyp_series for 1-d parameter arrays at one z.
+
+    Element j does the float operations of the scalar loop for (alpha[j],
+    beta[j], gamma[j]) in the same order, and its value is taken where that
+    loop would stop, so the result matches it bit for bit."""
+    params = (np.asarray(p, dtype=float) for p in (alpha, beta, gamma))
+    a, b, g = np.broadcast_arrays(*params)
+    stop = _series_stop(a, b, g)
+    out = np.ones(a.shape)
+    live = np.arange(a.size)
+    term = total = np.ones(a.shape)
+    left = a.size
+    i = 0
+    # elements past their stop run on until the arrays are compacted; their
+    # values are unused, so their overflows and divisions by zero are too
+    # (a live element overflows to inf silently, as a Python float does)
+    with np.errstate(all="ignore"):
+        while left:
+            ended = stop == i
+            if ended.any():
+                out[live[ended]] = total[ended]
+                left -= np.count_nonzero(ended)
+                if 2 * left <= live.size:
+                    keep = (stop < 0) | (stop > i)
+                    live, a, b, g, stop, term, total = (
+                        v[keep] for v in (live, a, b, g, stop, term, total)
+                    )
+            term = term * (a + i) * (b + i) * z / ((g + i) * (1 + i))
+            i += 1
+            total = total + term
+            # the stop test needs |term| < tol, as its tail factor is >= 1
+            if (stop < 0).any() and (np.abs(term) < tol).any():
+                ratio = np.abs((a + i) * (b + i) * z / ((g + i) * (1 + i)))
+                q = np.maximum(abs(z), ratio)
+                done = (stop < 0) & (q < 1) & (np.abs(term) * (1 + q / (1 - q)) < tol)
+                stop = np.where(done, i, stop)
+            if i > 100000 and (stop < 0).any():
+                raise RuntimeError("hypergeometric series did not converge")
+    return out
 
 
 def hyp2f1(p, tol):
@@ -151,22 +187,36 @@ def hyp2f1(p, tol):
     return value
 
 
+def _as_order(k):
+    """k as a non-negative integer order: an int, or an int array for an array k."""
+    ka = np.asarray(k)
+    if np.any(ka < 0) or np.any(ka != np.round(ka)):
+        raise ValueError("k must be a non-negative integer")
+    return ka.astype(int) if ka.ndim else int(ka)
+
+
+def _f_params(dim, k):
+    return k, -dim.rho, k + dim.n / 2
+
+
 def _f_pair(dim, k, z):
     """(F_k(z), F_k'(z)) via the termwise-differentiated series."""
-    return _hyp_series(k, -dim.rho, k + dim.n / 2, z, _SERIES_TOL)
+    return _hyp_series(*_f_params(dim, k), z, _SERIES_TOL)
 
 
 def F_k(dim, k, z):
     """Bounded radial solution F_k(z) = F(k, -rho; k + n/2; z).
 
     Terminates after rho+1 terms for even n; for odd n the series is summed
-    to tolerance. F_k(0) = 1 for every k.
+    to tolerance. F_k(0) = 1 for every k. An integer array k gives the
+    array of F_k(z), equal bit for bit to the scalar values.
     """
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a non-negative integer")
+    k = _as_order(k)
     if not 0 <= z < 1:
         raise ValueError("F_k needs z in [0, 1)")
-    value, _ = _f_pair(dim, int(k), z)
+    if np.ndim(k):
+        return _hyp_sweep(*_f_params(dim, k), z, _SERIES_TOL)
+    value, _ = _f_pair(dim, k, z)
     return value
 
 
@@ -233,11 +283,15 @@ def g0_branch(dim):
     return _resolve_g0_branch(dim)
 
 
+def _g_params(dim, k):
+    return -dim.rho, 2 - k - dim.n, 2 - k - dim.n / 2
+
+
 def _g_pair(dim, k, z):
     """(G_k(z), G_k'(z)); dispatches the even-n k=0 log branch."""
     if k == 0 and dim.is_even:
         return _g0_pair(dim, z)
-    return _hyp_series(-dim.rho, 2 - k - dim.n, 2 - k - dim.n / 2, z, _SERIES_TOL)
+    return _hyp_series(*_g_params(dim, k), z, _SERIES_TOL)
 
 
 def G_k(dim, k, z):
@@ -247,14 +301,21 @@ def G_k(dim, k, z):
     the truncated series (rho+1 terms) applies; for odd n the series
     terminates through the upper parameter 2-k-n. The k=0, even-n case uses
     the explicit finite sum plus a z^rho log z term, with the branch picked
-    at runtime by the Wronskian identity.
+    at runtime by the Wronskian identity. An integer array k gives the
+    array of G_k(z), equal bit for bit to the scalar values.
     """
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a non-negative integer")
+    k = _as_order(k)
     if not 0 < z < 1:
         raise ValueError("G_k needs z in (0, 1)")
-    value, _ = _g_pair(dim, int(k), z)
-    return value
+    if np.ndim(k) == 0:
+        value, _ = _g_pair(dim, k, z)
+        return value
+    log = (k == 0) & dim.is_even
+    out = np.empty(k.shape)
+    out[~log] = _hyp_sweep(*_g_params(dim, k[~log]), z, _SERIES_TOL)
+    if log.any():
+        out[log] = _g0_pair(dim, z)[0]
+    return out
 
 
 def gegenbauer(v, k, x):
@@ -265,33 +326,33 @@ def gegenbauer(v, k, x):
     """
     if v < 0:
         raise ValueError("needs v >= 0")
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a non-negative integer")
-    return float(gegenbauer_sequence(v, int(k), x)[-1])
+    return float(gegenbauer_sequence(v, _as_order(k), x)[-1])
 
 
 def gegenbauer_sequence(v, kmax, x):
     """All of C_0^(v)(x) .. C_kmax^(v)(x) in one sweep.
 
     x may be a scalar or an array; the result has shape (kmax+1,) + x.shape.
+    A scalar x runs the recurrence on Python floats.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((kmax + 1,) + x.shape)
+    x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    out = np.empty((kmax + 1,) + np.shape(x))
     out[0] = 1.0
+    if kmax < 1:
+        return out
     if v == 0:
         # 2 T_k / k with T_k by its own recurrence
-        if kmax >= 1:
-            t_prev = np.ones_like(x)
-            t = x.copy()
-            out[1] = 2.0 * t
-            for k in range(2, kmax + 1):
-                t_prev, t = t, 2 * x * t - t_prev
-                out[k] = 2.0 * t / k
+        t_prev, t = 1.0, x
+        out[1] = 2.0 * t
+        for k in range(2, kmax + 1):
+            t_prev, t = t, 2 * x * t - t_prev
+            out[k] = 2.0 * t / k
         return out
-    if kmax >= 1:
-        out[1] = 2 * v * x
+    c_prev, c = 1.0, 2 * v * x
+    out[1] = c
     for k in range(2, kmax + 1):
-        out[k] = (2 * x * (k + v - 1) * out[k - 1] - (k + 2 * v - 2) * out[k - 2]) / k
+        c_prev, c = c, (2 * x * (k + v - 1) * c - (k + 2 * v - 2) * c_prev) / k
+        out[k] = c
     return out
 
 

@@ -8,6 +8,8 @@ from hypball.kernels import (
     GegenbauerSpectrum,
     SeriesControl,
     SeriesTruncationError,
+    _green_table,
+    _poisson_table,
     green_coefficient,
     green_function,
     poisson_coefficient,
@@ -193,6 +195,39 @@ def test_green_equal_radii_raises():
     with pytest.raises(SeriesTruncationError) as err:
         green_function(D, x, y, ctl)
     assert err.value.achieved == math.inf
+
+
+def test_green_equal_radii_raises_before_summing():
+    # odd n: every Green coefficient is a long series, yet none is built
+    D = ball(5)
+    x = Point([0.3, 0, 0, 0, 0])
+    y = Point([0.0, 0.3, 0, 0, 0])
+    ctl = SeriesControl()
+    with pytest.raises(SeriesTruncationError) as err:
+        green_function(D, x, y, ctl)
+    assert err.value.achieved == math.inf
+    assert _green_table(D, 0.3, 0.3, ctl)[0].size == 0
+
+
+@pytest.mark.parametrize(
+    "n, r, ax, ay",
+    [(4, 0.6, 0.3, 0.2), (5, 0.95, 0.9, 0.8), (3, 0.6, 0.55, 0.4), (6, 0.3, 0.25, 0.1)],
+)
+def test_tables_match_scalar_coefficients(n, r, ax, ay):
+    # blocks of orders give the term-by-term values; six of these eight
+    # tables are longer than the first block of 64 orders
+    D = ball(n, r)
+    rho = D.dim.rho
+    ctl = SeriesControl()
+    a = _poisson_table(D, ax, ctl)
+    b, _ = _green_table(D, ay, ax, ctl)
+    assert len(a) > 10 and len(b) > 10
+    assert np.array_equal(
+        a, [(k + rho) / rho * poisson_coefficient(D, k, ax) for k in range(len(a))]
+    )
+    assert np.array_equal(
+        b, [(k + rho) / rho * green_coefficient(D, k, ay, ax) for k in range(len(b))]
+    )
 
 
 def test_green_truncation_error():

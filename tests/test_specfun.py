@@ -150,6 +150,33 @@ def test_large_k_flattening():
             assert devs[-1] < 10 / 80
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_radial_sweep_matches_scalar_loop(n):
+    # an array of orders runs the scalar loop's float operations in order
+    dim = Dimension(n)
+    ks = np.arange(601)
+    for z in (0.09, 0.36, 0.81, 0.9025, 0.98):
+        assert np.array_equal(F_k(dim, ks, z), [F_k(dim, k, z) for k in range(601)])
+        assert np.array_equal(G_k(dim, ks, z), [G_k(dim, k, z) for k in range(601)])
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("z, g_rel", [(0.9025, 1e-12), (0.98, 1e-8)])
+def test_radial_layer_against_mpmath(n, z, g_rel):
+    # odd n, large k, z -> 1; G_k is a terminating sum with cancellation
+    # that grows as z -> 1 (1.2e-9 relative at n=5, z=0.98)
+    mpmath = pytest.importorskip("mpmath")
+    dim = Dimension(n)
+    ks = [0, 1, 7, 50, 200, 600, 1000]
+    rho, half = mpmath.mpf(n - 2) / 2, mpmath.mpf(n) / 2
+    with mpmath.workdps(60):
+        for k, f, g in zip(ks, F_k(dim, np.array(ks), z), G_k(dim, np.array(ks), z)):
+            f_ref = mpmath.hyp2f1(k, -rho, k + half, z)
+            g_ref = mpmath.hyp2f1(-rho, 2 - k - n, 2 - k - half, z)
+            assert abs((f - f_ref) / f_ref) < 1e-12
+            assert abs((g - g_ref) / g_ref) < g_rel
+
+
 @given(st.floats(0.25, 3.0), st.integers(0, 40), st.floats(-1.0, 1.0))
 @settings(max_examples=80)
 def test_gegenbauer_against_scipy(v, k, x):
