@@ -17,12 +17,12 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import integrate
 
 from . import __version__
 from .closedform import (
     H_function,
     QuadratureControl,
+    _integrate_decaying,
     conjecture1_residual,
     conjecture2_zero_count,
     green_closed_n4,
@@ -161,52 +161,54 @@ def _theta_midpoints(m):
     return [(j + 0.5) * math.pi / m for j in range(m)]
 
 
-def _pk_table(cfg, evaluate):
+def _theta_table(cfg, radius, evaluate):
+    """(columns, rows) of one value per theta midpoint, y on the circle of
+    the given radius in the (e1, e2) plane and x on the e1 axis."""
     dim = cfg.dim()
     D = BallDomain(dim, cfg.r)
     x = _axis_point(dim.n, cfg.x)
-    rows = []
-    for theta in _theta_midpoints(cfg.theta_grid):
-        y = _plane_point(dim.n, cfg.r, theta)
-        rows.append((theta, evaluate(D, x, y)))
-    return ("theta", "value"), rows, {}
+    thetas = _theta_midpoints(cfg.theta_grid)
+    ys = [_plane_point(dim.n, radius, theta) for theta in thetas]
+    return ("theta", "value"), list(zip(thetas, evaluate(D, x, ys)))
 
 
-def _cmd_pk_eval(cfg):
-    ctl = cfg.series()
-    return _pk_table(cfg, lambda D, x, y: poisson_kernel(D, x, y, ctl))
-
-
-def _cmd_pk_closed(cfg):
-    qctl = cfg.quadrature()
-    return _pk_table(cfg, lambda D, x, y: poisson_integral(D, x, y, qctl))
+def _pk_table(cfg, evaluate):
+    return _theta_table(cfg, cfg.r, evaluate) + ({},)
 
 
 def _green_table(cfg, evaluate):
-    dim = cfg.dim()
-    D = BallDomain(dim, cfg.r)
     ay = cfg.y if cfg.y is not None else 0.5 * cfg.r
-    x = _axis_point(dim.n, cfg.x)
-    rows = []
-    for theta in _theta_midpoints(cfg.theta_grid):
-        y = _plane_point(dim.n, ay, theta)
-        rows.append((theta, evaluate(D, x, y)))
-    return ("theta", "value"), rows, {"y_radius": ay}
+    return _theta_table(cfg, ay, evaluate) + ({"y_radius": ay},)
+
+
+def _each(fn, ctl):
+    """Table evaluator calling fn once per point."""
+    return lambda D, x, ys: [fn(D, x, y, ctl) for y in ys]
+
+
+def _batched(fn, qctl):
+    """Table evaluator calling fn once on the array of all points."""
+    return lambda D, x, ys: fn(D, x, np.array([y.coords for y in ys]), qctl).tolist()
+
+
+def _cmd_pk_eval(cfg):
+    return _pk_table(cfg, _each(poisson_kernel, cfg.series()))
+
+
+def _cmd_pk_closed(cfg):
+    return _pk_table(cfg, _batched(poisson_integral, cfg.quadrature()))
 
 
 def _cmd_green_eval(cfg):
-    ctl = cfg.series()
-    return _green_table(cfg, lambda D, x, y: green_function(D, x, y, ctl))
+    return _green_table(cfg, _each(green_function, cfg.series()))
 
 
 def _cmd_green_closed(cfg):
-    qctl = cfg.quadrature()
-    closed = {4: green_closed_n4, 6: green_closed_n6}
     dim = cfg.dim()
-    if dim.n not in closed:
+    if dim.n not in (4, 6):
         raise ValueError("green-closed needs n in {4, 6}")
-    fn = closed[dim.n]
-    return _green_table(cfg, lambda D, x, y: fn(D, x, y, qctl))
+    fn = green_closed_n4 if dim.n == 4 else green_closed_n6
+    return _green_table(cfg, _batched(fn, cfg.quadrature()))
 
 
 def _cmd_coeffs(cfg):
@@ -280,30 +282,26 @@ def _suite_normalization(cfg):
 def _suite_laplace(cfg):
     rows = []
     radii = {4: (0.6,), 6: (0.2, math.sqrt(7 - 4 * math.sqrt(3)), 0.6)}
+    qctl = QuadratureControl(abs_tol=1e-12)
     for dim in cfg.dims():
         if dim.n not in radii:
             continue
+        # the gamma-free point k = -rho still lies in the convergence strip
+        # because w decays faster than exp(rho v) grows
+        ks = [0, 1, 2, 3, 5, 10, -dim.rho]
         for r in radii[dim.n]:
             r2 = r * r
             x2 = 0.25 * r2
             w = laplace_weight(dim, x2, r2)
-            for k in (0, 1, 2, 3, 5, 10):
-                lhs = integrate.quad(
-                    lambda v: w(v) * math.exp(-k * v), 0, np.inf, epsabs=1e-12
-                )[0]
-                err = abs(lhs - H_function(dim, x2, r2, k))
-                rows.append((dim.n, w.regime, float(k), err, 1e-8, err <= 1e-8))
-            # the gamma-free point k = -rho still lies in the convergence
-            # strip because w decays faster than exp(rho v) grows; past the
-            # cutoff the product is below 1e-280 but exp(rho v) overflows
-            vcut = 650.0 / dim.rho
-
-            def tail(v, w=w, rho=dim.rho):
-                return w(v) * math.exp(rho * v) if v < vcut else 0.0
-
-            lhs = integrate.quad(tail, 0, np.inf, epsabs=1e-12)[0]
-            err = abs(lhs - H_function(dim, x2, r2, -dim.rho))
-            rows.append((dim.n, w.regime, -dim.rho, err, 1e-9, err <= 1e-9))
+            lhs = _integrate_decaying(
+                lambda v: w(v)[:, None] * np.exp(-np.outer(v, ks)),
+                w.decay_rate - dim.rho,
+                qctl,
+            )
+            for k, val in zip(ks, lhs.tolist()):
+                err = abs(val - H_function(dim, x2, r2, k))
+                bound = 1e-8 if k >= 0 else 1e-9
+                rows.append((dim.n, w.regime, float(k), err, bound, err <= bound))
     return ("n", "regime", "k", "residual", "bound", "pass"), rows
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import loggamma, rgamma
 
 from .geometry import BallDomain, Point, sphere_area
@@ -25,10 +24,16 @@ _CRITICAL_BAND = 1e-12
 
 @dataclass(frozen=True)
 class QuadratureControl:
-    """Policy for the semi-infinite v-integrals: substitute u = exp(-v)
-    onto (0, 1], then adaptive Gauss-Kronrod panels to abs_tol."""
+    """Policy for the semi-infinite v-integrals. Substitute u = exp(-beta v/6)
+    onto (0, 1], with beta the integrand's net decay rate, so the integrand
+    in u vanishes like u^5 at u = 0 and the panel touching 0 stays smooth
+    enough for the rules. Each panel carries a 10- and a 21-point
+    Gauss-Legendre rule; the 21-point sum is its value and the difference
+    of the two its error estimate. Each round bisects, for every value
+    whose summed estimate is above max(abs_tol, 1e-12 |value|), that
+    value's worst panel; a value that would need more than
+    max_subdivisions panels raises RuntimeError."""
 
-    scheme: str = "log-substitution"
     abs_tol: float = 1e-10
     max_subdivisions: int = 200
 
@@ -37,22 +42,68 @@ class QuadratureControl:
             raise ValueError("abs_tol must be positive")
 
 
-def _integrate_decaying(f, ctl):
-    """integral of f over (0, infinity) for exponentially decaying f, via
-    u = exp(-v)."""
-    val, err = quad(
-        lambda u: f(-math.log(u)) / u,
-        0.0,
-        1.0,
-        epsabs=ctl.abs_tol,
-        epsrel=1e-12,
-        limit=ctl.max_subdivisions,
-    )
-    if err > 10 * max(ctl.abs_tol, 1e-13 * abs(val)):
-        raise RuntimeError(
-            f"quadrature error estimate {err:.3e} above requested {ctl.abs_tol:.3e}"
-        )
-    return val
+_GAUSS = [np.polynomial.legendre.leggauss(m) for m in (10, 21)]
+_NODES = np.concatenate([_GAUSS[0][0], _GAUSS[1][0]])
+# rows: the 10-point and the 21-point rule on [-1, 1] over the 31 nodes
+_RULES = np.zeros((2, _NODES.size))
+_RULES[0, :10] = _GAUSS[0][1]
+_RULES[1, 10:] = _GAUSS[1][1]
+# node values evaluated at once; bounds the panel work arrays
+_CHUNK_VALUES = 2**18
+
+
+def _integrate_decaying(f, beta, ctl):
+    """Integrals over (0, infinity) of the columns of f, where f maps nodes v
+    of shape (k,) to values of shape (k, m) that decay like exp(-beta v) or
+    faster. All columns share one set of panels; see QuadratureControl."""
+    scale = 6.0 / beta  # v = -scale log u, dv = -scale du / u
+
+    def rules(lo, hi):
+        """(21-point value, error estimate) per panel and column."""
+        half = 0.5 * (hi - lo)
+        u = (lo + half)[:, None] + half[:, None] * _NODES
+        vals = f(-scale * np.log(u.ravel())).reshape(u.shape + (-1,))
+        g = _RULES @ (vals * (scale * half[:, None] / u)[..., None])
+        g10, g21 = g[:, 0], g[:, 1]
+        return g21, np.abs(g21 - g10)
+
+    lo, hi = np.array([0.0]), np.array([1.0])
+    val, err = rules(lo, hi)
+    step = max(1, _CHUNK_VALUES // (_NODES.size * val.shape[1]))  # panels per call
+    while True:
+        total, est = val.sum(axis=0), err.sum(axis=0)
+        unmet = ~(est <= np.maximum(ctl.abs_tol, 1e-12 * np.abs(total)))
+        if not unmet.any():
+            return total
+        worst = np.unique(np.argmax(err[:, unmet], axis=0))
+        if lo.size + worst.size > ctl.max_subdivisions:
+            raise RuntimeError(
+                f"quadrature error estimate {est[unmet].max():.3e} above "
+                f"requested {ctl.abs_tol:.3e} with {lo.size} panels"
+            )
+        mid = 0.5 * (lo[worst] + hi[worst])
+        new_lo = np.concatenate([lo[worst], mid])
+        new_hi = np.concatenate([mid, hi[worst]])
+        parts = [rules(new_lo[s:s + step], new_hi[s:s + step])
+                 for s in range(0, new_lo.size, step)]
+        new_val = np.concatenate([p[0] for p in parts])
+        new_err = np.concatenate([p[1] for p in parts])
+        keep = np.ones(lo.size, dtype=bool)
+        keep[worst] = False
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+
+
+def _rows(y):
+    """y as an (m, n) coordinate array, and whether it was a single Point."""
+    if isinstance(y, Point):
+        return y.coords[None, :], True
+    ys = np.asarray(y, dtype=float)
+    if ys.ndim != 2:
+        raise ValueError("y must be a Point or an (m, n) array of points")
+    return ys, False
 
 
 def f_entire(dim, z, k):
@@ -150,6 +201,7 @@ class LaplaceWeight:
     oscillatory (n=6):         exp(-b v) (amp1 cos(c~ v) + amp2 sin(c~ v)/c~)
 
     b exceeds |Re c|, so w always decays; c_or_ctilde stores c (or c~).
+    Calls take a float or an array of v (broadcast against array amplitudes).
     """
 
     dim: Dimension
@@ -165,18 +217,18 @@ class LaplaceWeight:
         b = self.b
         c = self.c_or_ctilde
         if self.regime == "single-exponential":
-            return self.amp1 * math.exp(-b * v)
+            return self.amp1 * np.exp(-b * v)
         if self.regime == "cosh-sinh":
             # combined exponentials: cosh/sinh against exp(-bv) overflow
             # separately for large v even though the product decays
-            p = 0.5 * (self.amp1 + self.amp2 / c) * math.exp((c - b) * v)
-            q = 0.5 * (self.amp1 - self.amp2 / c) * math.exp(-(b + c) * v)
+            p = 0.5 * (self.amp1 + self.amp2 / c) * np.exp((c - b) * v)
+            q = 0.5 * (self.amp1 - self.amp2 / c) * np.exp(-(b + c) * v)
             return p + q
         if self.regime == "critical":
-            return (self.amp1 + self.amp2 * v) * math.exp(-b * v)
+            return (self.amp1 + self.amp2 * v) * np.exp(-b * v)
         return (
-            self.amp1 * math.cos(c * v) + self.amp2 * math.sin(c * v) / c
-        ) * math.exp(-b * v)
+            self.amp1 * np.cos(c * v) + self.amp2 * np.sin(c * v) / c
+        ) * np.exp(-b * v)
 
     @property
     def decay_rate(self):
@@ -258,7 +310,9 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
             * int_0^inf w(v) L(x,y,v) / |x e^{-v} - y|^(n-2) dv,
 
     for n in {4, 6}. The weight regime guarantees a positive net decay
-    exponent, checked before integrating.
+    exponent, checked before integrating. y is a Point (returns a float) or
+    an (m, n) array of boundary points (returns shape (m,), one quadrature
+    for all of them).
     """
     dim = D.dim
     n = dim.n
@@ -268,27 +322,27 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
     ax = x.norm
     if ax >= r:
         raise ValueError("x must lie inside the ball")
-    if abs(y.norm - r) > 1e-12:
+    ys, single = _rows(y)
+    if np.any(np.abs(np.linalg.norm(ys, axis=1) - r) > 1e-12):
         raise ValueError("y must lie on the sphere |y| = r")
     x2 = ax**2
     r2 = r**2
-    xy = float(x.coords @ y.coords)
+    xy = ys @ x.coords
     d2 = x2 + r2 - 2 * xy
     w = laplace_weight(dim, x2, r2)
     if not w.decay_rate > dim.rho + 1:
         raise RuntimeError("integrand does not decay; weight regime corrupt")
+    # with e = e^{-v}, g = e h = (r^2 - |x|^2 e)(1 - e) and a = e A =
+    # |x e^{-v} - y|^2, L = e^{(rho+1)v} g^2 (1, or 2a + |x-y|^2 e for n=6);
+    # that growth goes into the weight's rate, so nothing overflows
+    w_net = replace(w, b=w.b - dim.rho - 1)
 
     def integrand(v):
-        ev = math.exp(v)
-        emv = 1.0 / ev
-        h = x2 * (emv - 1) + r2 * (ev - 1)
-        if n == 4:
-            L = h * h
-        else:
-            a_half = x2 * emv + r2 * ev - 2 * xy
-            L = h * h * (2 * a_half + d2)
-        denom = x2 * emv * emv - 2 * emv * xy + r2
-        return w(v) * L / denom ** (n // 2 - 1)
+        e = np.exp(-v)[:, None]
+        g = (r2 - x2 * e) * -np.expm1(-v)[:, None]
+        a = x2 * e * e - 2 * e * xy + r2
+        L = g * g if n == 4 else g * g * (2 * a + d2 * e)
+        return w_net(v)[:, None] * L / a ** (n // 2 - 1)
 
     pref = (
         math.gamma(n / 2)
@@ -296,13 +350,34 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
         * (r2 - x2)
         / d2 ** (n / 2)
     )
-    return pref * _integrate_decaying(integrand, qctl)
+    out = pref * _integrate_decaying(integrand, w_net.decay_rate, qctl)
+    return float(out[0]) if single else out
+
+
+def _green_args(D, n, x, y):
+    """Shared inputs of the closed Green formulas: (single, X, Y, x.y, d^2,
+    r^2, K0), with Y, x.y, d^2 and K0 one entry per point y."""
+    if D.dim.n != n:
+        raise ValueError(f"needs n = {n}")
+    ys, single = _rows(y)
+    r2 = D.r**2
+    x2 = x.norm**2
+    y2 = np.linalg.norm(ys, axis=1) ** 2
+    if x2 >= r2 or np.any(y2 >= r2):
+        raise ValueError("both points must lie inside the ball")
+    xy = ys @ x.coords
+    d2 = x2 + y2 - 2 * xy
+    if np.any(d2 == 0.0):
+        raise ValueError("green function is singular at x = y")
+    k0 = x2 * y2 - 2 * r2 * xy + r2 * r2
+    return single, x2, y2, xy, d2, r2, k0
 
 
 def _kelvin_quadratic(x2, y2, xy, r2, v):
     """|y|^2 |x e^{-v} - y*|^2 with y* = r^2 y / |y|^2, in the symmetric
-    form x^2 y^2 e^{-2v} - 2 r^2 e^{-v} (x.y) + r^4 (positive definite)."""
-    emv = math.exp(-v)
+    form x^2 y^2 e^{-2v} - 2 r^2 e^{-v} (x.y) + r^4 (positive definite):
+    one row per node v, one column per point y."""
+    emv = np.exp(-v)[:, None]
     return x2 * y2 * emv * emv - 2 * r2 * emv * xy + r2 * r2
 
 
@@ -317,28 +392,21 @@ def green_closed_n4(D, x, y, qctl=QuadratureControl()):
     with d = |x-y|, D = |x-y*|, y* = r^2 y/|y|^2 and the n=4 weight w.
     The Kelvin combination |y|^2 |x e^{-v} - y*|^2 is evaluated in its
     symmetric quadratic form, so the expression is symmetric in (x, y)
-    by construction.
+    by construction. y is a Point or an (m, n) array, as in
+    poisson_integral.
     """
-    if D.dim.n != 4:
-        raise ValueError("needs n = 4")
-    r2 = D.r**2
-    x2 = x.norm**2
-    y2 = y.norm**2
-    if x2 >= r2 or y2 >= r2:
-        raise ValueError("both points must lie inside the ball")
-    xy = float(x.coords @ y.coords)
-    d2 = x2 + y2 - 2 * xy
-    if d2 == 0.0:
-        raise ValueError("green function is singular at x = y")
-    k0 = x2 * y2 - 2 * r2 * xy + r2 * r2
+    single, x2, y2, xy, d2, r2, k0 = _green_args(D, 4, x, y)
     w = laplace_weight(D.dim, 0.0, r2)  # n=4 weight is x-independent
     integral = _integrate_decaying(
-        lambda v: w(v) / _kelvin_quadratic(x2, y2, xy, r2, v), qctl
+        lambda v: w(v)[:, None] / _kelvin_quadratic(x2, y2, xy, r2, v),
+        w.decay_rate,
+        qctl,
     )
     direct = (1 - x2) * (1 - y2) * (1 / d2 - r2 / k0)
-    logterm = -2 * math.log(k0 / (r2 * d2))
+    logterm = -2 * np.log(k0 / (r2 * d2))
     tail = (r2 - x2) * (r2 - y2) * integral
-    return (direct + logterm + tail) / (4 * math.pi**2)
+    out = (direct + logterm + tail) / (4 * math.pi**2)
+    return float(out[0]) if single else out
 
 
 def _green6_weight(x2, y2, r2):
@@ -372,33 +440,26 @@ def green_closed_n6(D, x, y, qctl=QuadratureControl()):
 
     where X = |x|^2, Y = |y|^2, d = |x-y|, K(v) = X Y e^{-2v}
     - 2 r^2 e^{-v} (x.y) + r^4 (the symmetric Kelvin quadratic, K0 = K(0))
-    and W carries the same b, c regimes as the Poisson weight.
+    and W carries the same b, c regimes as the Poisson weight. y is a Point
+    or an (m, n) array, as in poisson_integral.
     """
-    if D.dim.n != 6:
-        raise ValueError("needs n = 6")
-    r2 = D.r**2
-    x2 = x.norm**2
-    y2 = y.norm**2
-    if x2 >= r2 or y2 >= r2:
-        raise ValueError("both points must lie inside the ball")
-    xy = float(x.coords @ y.coords)
-    d2 = x2 + y2 - 2 * xy
-    if d2 == 0.0:
-        raise ValueError("green function is singular at x = y")
-    k0 = x2 * y2 - 2 * r2 * xy + r2 * r2
+    single, x2, y2, xy, d2, r2, k0 = _green_args(D, 6, x, y)
     f1, f2 = _green6_weight(x2, y2, r2)
     W = replace(laplace_weight(D.dim, 0.0, r2), amp1=f1, amp2=f2 / (2 * (1 - r2)))
     integral = _integrate_decaying(
-        lambda v: W(v) / _kelvin_quadratic(x2, y2, xy, r2, v) ** 2, qctl
+        lambda v: W(v[:, None]) / _kelvin_quadratic(x2, y2, xy, r2, v) ** 2,
+        W.decay_rate,
+        qctl,
     )
     parts = (
         (1 - x2) ** 2 * (1 - y2) ** 2 * (1 / d2**2 - r2 * r2 / k0**2)
         - 6 * (1 - x2) * (1 - y2) * (1 / d2 - r2 / k0)
-        + 12 * math.log(k0 / (r2 * d2))
+        + 12 * np.log(k0 / (r2 * d2))
         - 12 * (r2 - x2) * (r2 - y2) / k0
         + 6 * (r2 - x2) * (r2 - y2) * integral
     )
-    return parts / (4 * math.pi**3)
+    out = parts / (4 * math.pi**3)
+    return float(out[0]) if single else out
 
 
 def conjecture1_residual(dim, z, k):

@@ -1,9 +1,12 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
 
+from hypball import closedform
 from hypball.closedform import (
     H_function,
     L_factor,
@@ -233,6 +236,161 @@ def test_green_closed_n6_matches_series_all_regimes(r):
         assert green_closed_n6(D, x, y) == pytest.approx(
             green_function(D, x, y, ctl), abs=1e-9
         )
+
+
+# the first, middle and last midpoints of the 256-row theta grid
+GRID_THETAS = [(j + 0.5) * math.pi / 256 for j in (0, 128, 255)]
+REGIMES = [(4, 0.6), (6, 0.2), (6, math.sqrt(R2_CRIT)), (6, 0.6)]
+
+
+def plane_points(n, radius, thetas):
+    ys = np.zeros((len(thetas), n))
+    ys[:, 0] = [radius * math.cos(t) for t in thetas]
+    ys[:, 1] = [radius * math.sin(t) for t in thetas]
+    return ys
+
+
+def integrals(monkeypatch, fn, *args):
+    """The quadrature results fn computes before its prefactor."""
+    seen = []
+    real = closedform._integrate_decaying
+
+    def spy(f, beta, ctl):
+        seen.append(real(f, beta, ctl))
+        return seen[-1]
+
+    monkeypatch.setattr(closedform, "_integrate_decaying", spy)
+    fn(*args)
+    assert len(seen) == 1
+    return seen[0]
+
+
+def mp_weight(n, r2, amp1, amp2):
+    """The Laplace weight in mpmath from its defining rates: n=4 a single
+    exponential; n=6 exp(-bv)(amp1 cosh(cv) + amp2 sinh(cv)/c) with c real,
+    zero or imaginary."""
+    if n == 4:
+        b = 2 / (1 - r2)
+        return lambda v: amp1 * mp.exp(-b * v)
+    b = (7 - r2) / (2 * (1 - r2))
+    c = mp.sqrt(mp.mpc(r2 * r2 - 14 * r2 + 1)) / (2 * (1 - r2))
+    if c == 0:
+        return lambda v: mp.exp(-b * v) * (amp1 + amp2 * v)
+    return lambda v: mp.re(
+        mp.exp(-b * v) * (amp1 * mp.cosh(c * v) + amp2 * mp.sinh(c * v) / c)
+    )
+
+
+def mp_integral(f):
+    with mp.workdps(30):
+        return mp.quad(f, [0] + [2**j for j in range(7)] + [mp.inf])
+
+
+def assert_meets_tolerance(got, refs):
+    for value, ref in zip(got, refs):
+        assert abs(value - ref) <= max(1e-10, 1e-12 * abs(ref)), (value, ref)
+
+
+@pytest.mark.parametrize("n, r", REGIMES)
+def test_poisson_integral_against_mpmath(monkeypatch, n, r):
+    D = ball(n, r)
+    for q in (0.3, 0.97):
+        x = Point([q * r] + [0.0] * (n - 1))
+        ys = plane_points(n, r, GRID_THETAS)
+        got = integrals(monkeypatch, poisson_integral, D, x, ys)
+        with mp.workdps(30):
+            x2, r2 = mp.mpf(q * r) ** 2, mp.mpf(r) ** 2
+            if n == 4:
+                w = mp_weight(4, r2, 2 * (1 + r2) / (1 - r2), 0)
+            else:
+                w = mp_weight(6, r2, 3 * (1 - r2 * x2 + 3 * (r2 - x2)),
+                              mp.mpf(3) / 2 * (1 + x2 * r2 + 5 * (x2 + r2)))
+            refs = []
+            for y in ys:
+                xy = mp.mpf(q * r) * mp.mpf(y[0])
+                d2 = x2 + r2 - 2 * xy
+
+                def f(v):
+                    h = x2 * (mp.exp(-v) - 1) + r2 * (mp.exp(v) - 1)
+                    a = x2 * mp.exp(-v) + r2 * mp.exp(v) - 2 * xy
+                    L = h * h if n == 4 else h * h * (2 * a + d2)
+                    den = x2 * mp.exp(-2 * v) - 2 * xy * mp.exp(-v) + r2
+                    return w(v) * L / den ** (n // 2 - 1)
+
+                refs.append(mp_integral(f))
+        assert_meets_tolerance(got, refs)
+
+
+@pytest.mark.parametrize("n, r", REGIMES)
+def test_green_closed_against_mpmath(monkeypatch, n, r):
+    D = ball(n, r)
+    fn = green_closed_n4 if n == 4 else green_closed_n6
+    for q in (0.3, 0.97):
+        x = Point([q * r] + [0.0] * (n - 1))
+        for p in (0.2, 0.9):
+            ys = plane_points(n, p * r, GRID_THETAS)
+            got = integrals(monkeypatch, fn, D, x, ys)
+            refs = []
+            with mp.workdps(30):
+                r2 = mp.mpf(r) ** 2
+                X = mp.mpf(q * r) ** 2
+                for y in ys:
+                    Y = mp.mpf(y[0]) ** 2 + mp.mpf(y[1]) ** 2
+                    xy = mp.mpf(q * r) * mp.mpf(y[0])
+                    if n == 4:
+                        w = mp_weight(4, r2, 2 * (1 + r2) / (1 - r2), 0)
+                    else:
+                        f1 = (r2 * (1 + r2) / (1 - r2) * (1 - X) * (1 - Y)
+                              + 2 * (1 - X * Y) - 2 * (1 - r2 * r2))
+                        f2 = (-3 * r2 * (1 + r2) ** 2 / (1 - r2) * (1 - X) * (1 - Y)
+                              - 2 * (1 - 5 * r2 - 2 * r2 * r2) * (1 - X * Y)
+                              + 2 * (1 - r2) ** 3)
+                        w = mp_weight(6, r2, f1, f2 / (2 * (1 - r2)))
+
+                    def f(v):
+                        e = mp.exp(-v)
+                        K = X * Y * e * e - 2 * r2 * e * xy + r2 * r2
+                        return w(v) / K ** (n // 2 - 1)
+
+                    refs.append(mp_integral(f))
+            assert_meets_tolerance(got, refs)
+
+
+@pytest.mark.parametrize(
+    "fn, n, r, radius",
+    [
+        (poisson_integral, 6, 0.6, 0.6),
+        (green_closed_n4, 4, 0.6, 0.25),
+        (green_closed_n6, 6, math.sqrt(R2_CRIT), 0.1),
+    ],
+)
+def test_array_rows_match_single_points(fn, n, r, radius):
+    D = ball(n, r)
+    x = Point([0.75 * r] + [0.0] * (n - 1))
+    thetas = [(j + 0.5) * math.pi / 256 for j in range(256)]
+    ys = plane_points(n, radius, thetas)
+    table = fn(D, x, ys)
+    assert isinstance(table, np.ndarray) and table.shape == (256,)
+    for y, row in zip(ys, table):
+        single = fn(D, x, Point(y))
+        assert type(single) is float
+        assert single == pytest.approx(row, rel=1e-9)
+
+
+def test_quadrature_failure_raises_without_warning():
+    D = ball(6, 0.6)
+    x = Point([0.5, 0, 0, 0, 0, 0])
+    hard, easy = plane_points(6, 0.6, [0.05, 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="quadrature error estimate"):
+            poisson_integral(D, x, Point(hard), QuadratureControl(max_subdivisions=1))
+        # four panels meet the tolerance at theta = 1.5 alone, but not at
+        # 0.05, and one point that misses it fails the whole table
+        few = QuadratureControl(max_subdivisions=4)
+        poisson_integral(D, x, Point(easy), few)
+        with pytest.raises(RuntimeError):
+            poisson_integral(D, x, np.array([easy, hard, easy]), few)
 
 
 def test_green_closed_singularity_guard():
