@@ -6,7 +6,7 @@ equations."""
 
 __version__ = "0.1.0"
 
-from .specfun import Dimension, F_k, G_k, gegenbauer, gegenbauer_at_one, hyp2f1, pochhammer, wronskian_residual
+from .specfun import Dimension, F_k, G_k, gegenbauer, gegenbauer_at_one, wronskian_residual
 from .geometry import BallDomain, Point, cos_angle, hyperbolic_distance, hyperbolic_radius, sphere_area
 from .kernels import (
     GegenbauerSpectrum,
@@ -27,8 +27,6 @@ from .closedform import (
     f_entire,
     green_closed_n4,
     green_closed_n6,
-    h_factor,
-    L_factor,
     laplace_weight,
     poisson_integral,
 )

@@ -214,8 +214,8 @@ def _cmd_green_closed(cfg):
 def _cmd_coeffs(cfg):
     dim = cfg.dim()
     D = BallDomain(dim, cfg.r)
-    rows = [(k, poisson_coefficient(D, k, cfg.x)) for k in range(cfg.k_max + 1)]
-    return ("k", "coefficient"), rows, {}
+    coeffs = poisson_coefficient(D, np.arange(cfg.k_max + 1), cfg.x)
+    return ("k", "coefficient"), list(enumerate(coeffs.tolist())), {}
 
 
 def _cmd_mc_validate(cfg):
@@ -227,10 +227,10 @@ def _cmd_mc_validate(cfg):
     else:
         samples = simulate_polar(dim, cfg.x**2, D, sde)
     emp, se = exit_coefficients(samples, dim, cfg.k_max)
+    analytics = poisson_coefficient(D, np.arange(cfg.k_max + 1), cfg.x).tolist()
     rows = []
     worst = 0.0
-    for k in range(cfg.k_max + 1):
-        analytic = poisson_coefficient(D, k, cfg.x)
+    for k, analytic in enumerate(analytics):
         z = (emp[k] - analytic) / se[k] if se[k] > 0 else 0.0
         worst = max(worst, abs(z))
         rows.append((k, analytic, float(emp[k]), float(se[k]), z))

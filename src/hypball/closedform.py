@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import loggamma, rgamma
 
-from .geometry import BallDomain, Point, sphere_area
-from .specfun import Dimension, HypParams, hyp2f1
+from .geometry import Point
+from .specfun import Dimension, F_k
 
 # dead band on r^4 - 14 r^2 + 1 inside which the critical-regime formula
 # is used; sinh(cv)/c with tiny c is numerically the critical limit anyway
@@ -106,33 +106,48 @@ def _rows(y):
     return ys, False
 
 
+def _cleared_polynomial(dim, z, k):
+    """F_k(z) with its k-denominators cleared: f_z(k) Gamma(k+n/2+rho) =
+    sum_i (k)_i (-rho)_i z^i/i! (k+n/2+i)_(rho-i), a polynomial in k of
+    degree rho whose roots are exactly the meaningful zeros of F_k(z)
+    (the reciprocal-gamma zeros of f_z drop out). Even n only."""
+    rho = int(dim.rho)
+    half_n = dim.n / 2
+    k = np.asarray(k, dtype=complex)
+    total = np.zeros_like(k)
+    for i in range(rho + 1):
+        term = np.ones_like(k)
+        for j in range(i):
+            term = term * (k + j)
+        coef = 1.0
+        for j in range(i):
+            coef *= (-rho + j) / (j + 1)
+        term = term * (coef * z**i)
+        for j in range(i, rho):
+            term = term * (k + half_n + j)
+        total = total + term
+    return total
+
+
 def f_entire(dim, z, k):
     """f_z(k) = F_k(z)/Gamma(k+n/2) as an entire function of complex k:
 
         sum_i (k)_i (-rho)_i z^i / (i! Gamma(k + n/2 + i)),
 
     each reciprocal gamma factor is entire, so no pole is ever divided by.
-    Terminates at i = rho for even n; for odd n the prefactor of each term
-    is carried in log space (the pochhammer and factorial factors overflow
-    separately near i ~ 170 even though the terms themselves keep
-    shrinking) and the series is summed to roundoff.
+    For even n the sum terminates at i = rho and equals
+    _cleared_polynomial(k) / Gamma(k + n/2 + rho), the finite sum the zero
+    counter uses; for odd n the prefactor of each term is carried in log
+    space (the pochhammer and factorial factors overflow separately near
+    i ~ 170 even though the terms themselves keep shrinking) and the
+    series is summed to roundoff.
     """
     if not 0 <= z < 1:
         raise ValueError("needs z in [0, 1)")
     rho = dim.rho
     half_n = dim.n / 2
     if dim.is_even:
-        total = 0j
-        poch_k = 1.0 + 0j
-        poch_rho = 1.0
-        zi = 1.0
-        fact = 1.0
-        for i in range(int(rho) + 1):
-            total += poch_k * poch_rho * zi / fact * complex(rgamma(k + half_n + i))
-            poch_k *= k + i
-            poch_rho *= -rho + i
-            zi *= z
-            fact *= i + 1
+        total = complex(rgamma(k + half_n + rho) * _cleared_polynomial(dim, z, k))
     else:
         kc = complex(k)
         total = complex(rgamma(kc + half_n))
@@ -279,40 +294,19 @@ def laplace_weight(dim, x2, r2):
     return LaplaceWeight(dim, x2, r2, "oscillatory", b, c, amp1, amp2)
 
 
-def h_factor(x, y, v):
-    """h(x,y,v) = |x e^{-v/2} - y e^{v/2}|^2 - |x-y|^2, which collapses to
-    the radial form |x|^2 (e^{-v} - 1) + |y|^2 (e^v - 1)."""
-    if v < 0:
-        raise ValueError("needs v >= 0")
-    x2 = x.norm**2
-    r2 = y.norm**2
-    return x2 * (math.expm1(-v)) + r2 * math.expm1(v)
-
-
-def L_factor(dim, x, y, v):
-    """L(x,y,v) = A^rho rho h - |x-y|^2 (A^rho - |x-y|^(2 rho)) with
-    A = |x e^{-v/2} - y e^{v/2}|^2. Reduces to h^2 for n=4 and to
-    h^2 (2A + |x-y|^2) for n=6."""
-    rho = dim.rho
-    x2 = x.norm**2
-    r2 = y.norm**2
-    xy = float(x.coords @ y.coords)
-    a_half = x2 * math.exp(-v) + r2 * math.exp(v) - 2 * xy
-    d2 = x2 + r2 - 2 * xy
-    h = h_factor(x, y, v)
-    return a_half**rho * rho * h - d2 * (a_half**rho - d2**rho)
-
-
 def poisson_integral(D, x, y, qctl=QuadratureControl()):
     """Poisson kernel via the integral representation
 
         Gamma(n/2)/(2 pi^(n/2) r (1-r^2)^(n-2)) (r^2-|x|^2)/|x-y|^n
             * int_0^inf w(v) L(x,y,v) / |x e^{-v} - y|^(n-2) dv,
 
-    for n in {4, 6}. The weight regime guarantees a positive net decay
-    exponent, checked before integrating. y is a Point (returns a float) or
-    an (m, n) array of boundary points (returns shape (m,), one quadrature
-    for all of them).
+    for n in {4, 6}, with A = |x e^{-v/2} - y e^{v/2}|^2, h = A - |x-y|^2
+    = |x|^2 (e^{-v} - 1) + |y|^2 (e^v - 1) and L = A^rho rho h -
+    |x-y|^2 (A^rho - |x-y|^(2 rho)), which reduces to h^2 for n=4 and to
+    h^2 (2A + |x-y|^2) for n=6. The weight regime guarantees a positive
+    net decay exponent, checked before integrating. y is a Point (returns
+    a float) or an (m, n) array of boundary points (returns shape (m,),
+    one quadrature for all of them).
     """
     dim = D.dim
     n = dim.n
@@ -464,42 +458,20 @@ def green_closed_n6(D, x, y, qctl=QuadratureControl()):
 
 def conjecture1_residual(dim, z, k):
     """k^2 |F_k(z) - (1-z)^rho - (n/2) rho z (1-z)^(rho-1)/(k+n/2)|: the
-    scaled residual of the large-k expansion of F_k. Identically zero for
-    n=4 (the expansion is exact there); bounded in k for even n."""
+    scaled residual of the large-k expansion of F_k at a positive integer
+    k. Identically zero for n=4 (the expansion is exact there); bounded in
+    k for even n."""
     if not 0 < z < 1:
         raise ValueError("needs z in (0, 1)")
     if k <= 0:
         raise ValueError("needs k > 0")
     rho = dim.rho
     n = dim.n
-    f = hyp2f1(HypParams(k, -rho, k + n / 2, z), 1e-16)
+    f = F_k(dim, k, z)
     expansion = (1 - z) ** rho + (n / 2) * rho / (k + n / 2) * z * (1 - z) ** (
         rho - 1
     )
     return k * k * abs(f - expansion)
-
-
-def _cleared_polynomial(dim, z, k):
-    """F_k(z) with its k-denominators cleared: f_z(k) Gamma(k+n/2+rho) =
-    sum_i (k)_i (-rho)_i z^i/i! (k+n/2+i)_(rho-i), a polynomial in k of
-    degree rho whose roots are exactly the meaningful zeros of F_k(z)
-    (the reciprocal-gamma zeros of f_z drop out). Even n only."""
-    rho = int(dim.rho)
-    half_n = dim.n / 2
-    k = np.asarray(k, dtype=complex)
-    total = np.zeros_like(k)
-    for i in range(rho + 1):
-        term = np.ones_like(k)
-        for j in range(i):
-            term = term * (k + j)
-        coef = 1.0
-        for j in range(i):
-            coef *= (-rho + j) / (j + 1)
-        term = term * (coef * z**i)
-        for j in range(i, rho):
-            term = term * (k + half_n + j)
-        total = total + term
-    return total
 
 
 def conjecture2_zero_count(dim, z, rect, nodes=4096):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BallDomain, Point, cos_angle, sphere_area, unit_sphere_area
+from .geometry import Point, cos_angle, sphere_area, unit_sphere_area
 from .specfun import (
     Dimension,
     F_k,
@@ -33,22 +33,25 @@ class SeriesTruncationError(RuntimeError):
         self.achieved = achieved
 
 
+# terms always summed before the fitted tail bound is trusted
+_MIN_TERMS = 10
+
+
 @dataclass(frozen=True)
 class SeriesControl:
     """Truncation policy for the spectral sums.
 
     tol is the target absolute error of the returned kernel value; the
-    majorant-based tail bound is pushed below it. min_terms terms are always
-    summed before the tail fit is trusted.
+    majorant-based tail bound is pushed below it. k_max must allow the
+    _MIN_TERMS terms summed before the tail fit is trusted.
     """
 
     k_max: int = 2000
     tol: float = 1e-10
-    min_terms: int = 10
 
     def __post_init__(self):
-        if not (self.k_max >= self.min_terms >= 1):
-            raise ValueError("need k_max >= min_terms >= 1")
+        if not self.k_max >= _MIN_TERMS:
+            raise ValueError(f"need k_max >= {_MIN_TERMS}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
@@ -128,7 +131,7 @@ def _fit_tail(majorants, base_ratio):
 
 
 def _series_table(dim, coefficient, base, target, ctl):
-    """Terms (k+rho)/rho * coefficient(k) up to the first k >= min_terms - 1
+    """Terms (k+rho)/rho * coefficient(k) up to the first k >= _MIN_TERMS - 1
     whose fitted tail bound is below target, with that bound (or the last
     bound reached at k_max). The coefficients come in blocks of k, but the
     cut is the one a term-by-term loop makes."""
@@ -148,7 +151,7 @@ def _series_table(dim, coefficient, base, target, ctl):
                 c_at_1 *= (k + dim.n - 3) / k
             coeffs.append(a)
             majorants.append(abs(a) * c_at_1)
-            if k + 1 >= ctl.min_terms:
+            if k + 1 >= _MIN_TERMS:
                 bound = _fit_tail(majorants, base)
                 if bound < target:
                     return np.array(coeffs), bound

@@ -15,7 +15,6 @@ only its per-step update.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -61,25 +60,12 @@ class SdeConfig:
             raise ValueError("exit_mode must be 'bridge' or 'grid'")
 
 
-@dataclass(frozen=True)
-class ExitSample:
-    """One exit event: the step count at exit, the exit cosine
-    cos(angle(x0, X_tau)) clamped to [-1, 1], and optionally the
-    accumulated potential integral int_0^tau q(R_s) ds."""
-
-    tau_steps: int
-    phi_exit: float
-    gauge_integral: Optional[float] = None
-
-    def __post_init__(self):
-        if not -1 <= self.phi_exit <= 1:
-            raise ValueError("phi_exit must lie in [-1, 1]")
-
-
 class ExitSamples:
-    """Column-wise collection of ExitSample plus censoring/clamp
-    accounting. Iterating yields ExitSample records; estimates use the
-    arrays directly."""
+    """Exit events of the paths that left the ball, one array entry per
+    path: tau_steps (step count at exit), phi_exit (exit cosine
+    cos(angle(x0, X_tau)), in [-1, 1]) and gauge_integral (the accumulated
+    potential int_0^tau q(R_s) ds, or None when no potential was run), plus
+    censoring, floor-clamp and path-step accounting."""
 
     def __init__(self, tau_steps, phi_exit, gauge_integral, n_requested,
                  clamped_steps=0, total_steps=0):
@@ -94,11 +80,6 @@ class ExitSamples:
 
     def __len__(self):
         return len(self.phi_exit)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            g = None if self.gauge_integral is None else float(self.gauge_integral[i])
-            yield ExitSample(int(self.tau_steps[i]), float(self.phi_exit[i]), g)
 
     @property
     def censored(self):

@@ -1,8 +1,8 @@
-"""Special-function substrate: Pochhammer symbols, the Gauss hypergeometric
-series (including the truncated series used when the lower parameter is a
-non-positive integer), the radial solutions F_k and G_k of the hyperbolic
-Laplacian on the ball, Gegenbauer polynomials, and the Wronskian-type
-identity that ties F_k and G_k together."""
+"""Special-function substrate: the hypergeometric series (including the
+truncated series used when the lower parameter is a non-positive integer),
+the radial solutions F_k and G_k of the hyperbolic Laplacian on the ball,
+Gegenbauer polynomials, and the Wronskian-type identity that ties F_k and
+G_k together."""
 
 import math
 from dataclasses import dataclass
@@ -11,9 +11,6 @@ import numpy as np
 
 # tolerance used for the non-terminating series behind F_k/G_k
 _SERIES_TOL = 1e-15
-
-# branch cache for the k=0 second solution in even dimensions, keyed by n
-_G0_BRANCH = {}
 
 
 @dataclass(frozen=True)
@@ -37,48 +34,8 @@ class Dimension:
         return self.n % 2 == 0
 
 
-@dataclass(frozen=True)
-class HypParams:
-    """Parameters (alpha, beta; gamma; z) of the hypergeometric series.
-
-    When gamma is a non-positive integer -m the series only makes sense in
-    the truncated form F(-l, beta; -m; z), which requires alpha to be a
-    non-positive integer -l with l <= m; anything else is rejected.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    z: float
-
-    def __post_init__(self):
-        if not abs(self.z) < 1:
-            raise ValueError("hypergeometric argument must satisfy |z| < 1")
-        if _nonpos_int(self.gamma):
-            m = int(round(-self.gamma))
-            if not (_nonpos_int(self.alpha) and -self.alpha <= m):
-                raise ValueError(
-                    "gamma is a non-positive integer; need alpha a "
-                    "non-positive integer -l with l <= -gamma"
-                )
-
-
 def _nonpos_int(x):
     return (x <= 0) & (x == np.round(x))
-
-
-def pochhammer(a, i):
-    """Rising factorial (a)_i = a (a+1) ... (a+i-1) as a direct product.
-
-    The product form is exact at non-positive integer bases, where the
-    gamma-function quotient would hit poles.
-    """
-    if i < 0 or i != int(i):
-        raise ValueError("pochhammer index must be a non-negative integer")
-    out = 1.0
-    for j in range(int(i)):
-        out *= a + j
-    return out
 
 
 def _series_stop(alpha, beta, gamma):
@@ -167,26 +124,6 @@ def _hyp_sweep(alpha, beta, gamma, z, tol):
     return out
 
 
-def hyp2f1(p, tol):
-    """Gauss hypergeometric function F(alpha, beta; gamma; z) for |z| < 1.
-
-    Parameters
-    ----------
-    p : HypParams
-        Validated parameter set.
-    tol : float
-        Absolute tolerance for the non-terminating series.
-
-    Returns
-    -------
-    float
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    value, _ = _hyp_series(p.alpha, p.beta, p.gamma, p.z, tol)
-    return value
-
-
 def _as_order(k):
     """k as a non-negative integer order: an int, or an int array for an array k."""
     ka = np.asarray(k)
@@ -220,67 +157,30 @@ def F_k(dim, k, z):
     return value
 
 
-def _g0_terms(dim, flip_last):
-    """Coefficients of the finite part of G_0 for even n, plus the log-term
-    amplitude. flip_last negates the i = n-2 coefficient (the alternative
-    branch resolved at runtime)."""
-    n = dim.n
-    rho = int(round(dim.rho))
-    coeffs = {}
-    for i in range(n - 1):
-        if i == rho:
-            continue
-        c = 2 * rho * math.comb(n - 2, i) * (-1) ** (i + 1) / (2 * (i - rho))
-        coeffs[i] = c
-    if flip_last:
-        coeffs[n - 2] = -coeffs[n - 2]
-    logamp = rho * math.comb(n - 2, rho) * (-1) ** (n // 2)
-    return coeffs, logamp
+def _g0_pair(dim, z):
+    """(G_0(z), G_0'(z)) for even n: the finite sum over i != rho of
 
+        c_i z^i,  c_i = rho binom(n-2, i) (-1)^(i+1) / (i - rho),
 
-def _g0_pair(dim, z, flip_last=None):
-    """(G_0(z), G_0'(z)) for even n, with the z^rho log z term."""
+    plus a z^rho log z term of amplitude rho binom(n-2, rho) (-1)^(n/2).
+    Each c_i z^i term contributes c_i (rho - i) z^i to rho G_0 - z G_0' and
+    the log term -amplitude z^rho, which together give rho (1-z)^(n-2), the
+    k = 0 Wronskian identity."""
     if z <= 0:
         raise ValueError("the k=0 branch with the log term needs z > 0")
-    if flip_last is None:
-        flip_last = _resolve_g0_branch(dim) == "flipped-tail"
-    coeffs, logamp = _g0_terms(dim, flip_last)
+    n = dim.n
     rho = int(round(dim.rho))
+    coeffs = {
+        i: rho * math.comb(n - 2, i) * (-1) ** (i + 1) / (i - rho)
+        for i in range(n - 1)
+        if i != rho
+    }
+    logamp = rho * math.comb(n - 2, rho) * (-1) ** (n // 2)
     lz = math.log(z)
     val = sum(c * z**i for i, c in coeffs.items()) + logamp * z**rho * lz
     dval = sum(i * c * z ** (i - 1) for i, c in coeffs.items() if i > 0)
     dval += logamp * (rho * z ** (rho - 1) * lz + z ** (rho - 1))
     return val, dval
-
-
-def _resolve_g0_branch(dim):
-    """Select the G_0 branch for even n by checking the k=0 Wronskian
-    identity on a small z grid; exactly one candidate satisfies it."""
-    n = dim.n
-    if n in _G0_BRANCH:
-        return _G0_BRANCH[n]
-    rho = dim.rho
-    best = {}
-    for name, flip in (("series", False), ("flipped-tail", True)):
-        worst = 0.0
-        for z in (0.2, 0.5, 0.8):
-            g, dg = _g0_pair(dim, z, flip_last=flip)
-            resid = rho * g - z * dg - rho * (1 - z) ** (n - 2)
-            worst = max(worst, abs(resid))
-        best[name] = worst
-    passing = [name for name, w in best.items() if w < 1e-8 * rho]
-    if len(passing) != 1:
-        raise RuntimeError(f"G_0 branch selection inconclusive: residuals {best}")
-    _G0_BRANCH[n] = passing[0]
-    return passing[0]
-
-
-def g0_branch(dim):
-    """Name of the runtime-selected G_0 branch for even n ('series' is the
-    general finite-sum formula, 'flipped-tail' negates its last term)."""
-    if not dim.is_even:
-        raise ValueError("the special k=0 branch only exists for even n")
-    return _resolve_g0_branch(dim)
 
 
 def _g_params(dim, k):
@@ -299,10 +199,10 @@ def G_k(dim, k, z):
 
     For even n and k >= 1 the lower parameter is a non-positive integer and
     the truncated series (rho+1 terms) applies; for odd n the series
-    terminates through the upper parameter 2-k-n. The k=0, even-n case uses
-    the explicit finite sum plus a z^rho log z term, with the branch picked
-    at runtime by the Wronskian identity. An integer array k gives the
-    array of G_k(z), equal bit for bit to the scalar values.
+    terminates through the upper parameter 2-k-n. The k=0, even-n case is
+    the explicit finite sum plus a z^rho log z term of _g0_pair. An integer
+    array k gives the array of G_k(z), equal bit for bit to the scalar
+    values.
     """
     k = _as_order(k)
     if not 0 < z < 1:
@@ -375,10 +275,10 @@ def wronskian_residual(dim, k, z):
         (k+rho) F_k G_k + z F_k' G_k - z F_k G_k' = (k+rho)(1-z)^(n-2),
 
     evaluated with termwise-differentiated series; should vanish to
-    roundoff for all admissible (n, k, z)."""
+    roundoff for all admissible (n, k, z). k is a non-negative integer."""
+    k = _as_order(k)
     if not 0 < z < 1:
         raise ValueError("needs z in (0, 1)")
-    k = int(k)
     f, df = _f_pair(dim, k, z)
     g, dg = _g_pair(dim, k, z)
     lhs = (k + dim.rho) * f * g + z * df * g - z * f * dg

@@ -9,14 +9,12 @@ import scipy.integrate
 from hypball import closedform
 from hypball.closedform import (
     H_function,
-    L_factor,
     QuadratureControl,
     conjecture1_residual,
     conjecture2_zero_count,
     f_entire,
     green_closed_n4,
     green_closed_n6,
-    h_factor,
     laplace_weight,
     poisson_integral,
 )
@@ -163,27 +161,6 @@ def test_weight_validation():
         laplace_weight(Dimension(4), 0.4, 0.36)
 
 
-def test_h_and_L_reductions():
-    x = Point([0.2, 0.1, 0.0, 0.0])
-    y = Point([0.0, 0.5, 0.1, 0.0])
-    for v in (0.0, 0.7, 2.5):
-        h = h_factor(x, y, v)
-        radial = x.norm**2 * math.expm1(-v) + y.norm**2 * math.expm1(v)
-        assert h == pytest.approx(radial, rel=1e-14)
-        assert L_factor(Dimension(4), x, y, v) == pytest.approx(h * h, rel=1e-12)
-    x6 = Point([0.2, 0.1, 0, 0, 0, 0])
-    y6 = Point([0.0, 0.5, 0.1, 0, 0, 0])
-    for v in (0.4, 1.7):
-        h = h_factor(x6, y6, v)
-        xy = float(x6.coords @ y6.coords)
-        a_half = x6.norm**2 * math.exp(-v) + y6.norm**2 * math.exp(v) - 2 * xy
-        d2 = x6.norm**2 + y6.norm**2 - 2 * xy
-        expect = h * h * (2 * a_half + d2)
-        assert L_factor(Dimension(6), x6, y6, v) == pytest.approx(expect, rel=1e-11)
-    with pytest.raises(ValueError):
-        h_factor(x, y, -0.1)
-
-
 @pytest.mark.parametrize("n", [4, 6])
 def test_poisson_integral_matches_series(n):
     D = ball(n)
@@ -300,6 +277,7 @@ def test_poisson_integral_against_mpmath(monkeypatch, n, r):
         got = integrals(monkeypatch, poisson_integral, D, x, ys)
         with mp.workdps(30):
             x2, r2 = mp.mpf(q * r) ** 2, mp.mpf(r) ** 2
+            rho = (n - 2) // 2
             if n == 4:
                 w = mp_weight(4, r2, 2 * (1 + r2) / (1 - r2), 0)
             else:
@@ -311,9 +289,10 @@ def test_poisson_integral_against_mpmath(monkeypatch, n, r):
                 d2 = x2 + r2 - 2 * xy
 
                 def f(v):
-                    h = x2 * (mp.exp(-v) - 1) + r2 * (mp.exp(v) - 1)
+                    # L in the paper's unreduced form
                     a = x2 * mp.exp(-v) + r2 * mp.exp(v) - 2 * xy
-                    L = h * h if n == 4 else h * h * (2 * a + d2)
+                    h = a - d2
+                    L = a**rho * rho * h - d2 * (a**rho - d2**rho)
                     den = x2 * mp.exp(-2 * v) - 2 * xy * mp.exp(-v) + r2
                     return w(v) * L / den ** (n // 2 - 1)
 

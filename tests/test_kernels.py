@@ -34,7 +34,8 @@ def on_sphere(r, theta, n):
 
 def test_series_control_validation():
     with pytest.raises(ValueError):
-        SeriesControl(k_max=5, min_terms=10)
+        SeriesControl(k_max=5)
+    SeriesControl(k_max=10)
     with pytest.raises(ValueError):
         SeriesControl(tol=0.0)
 

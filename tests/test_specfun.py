@@ -10,13 +10,10 @@ from hypball.specfun import (
     Dimension,
     F_k,
     G_k,
-    HypParams,
-    g0_branch,
+    _hyp_series,
     gegenbauer,
     gegenbauer_at_one,
     gegenbauer_sequence,
-    hyp2f1,
-    pochhammer,
     wronskian_residual,
 )
 
@@ -31,43 +28,29 @@ def test_dimension_validation():
     assert not Dimension(7).is_even
 
 
-def test_pochhammer():
-    assert pochhammer(3.0, 0) == 1.0
-    assert pochhammer(3.0, 4) == 3 * 4 * 5 * 6
-    assert pochhammer(-2.0, 3) == 0.0
-    with pytest.raises(ValueError):
-        pochhammer(1.0, -1)
-
-
 def test_hyp_params_validation():
-    with pytest.raises(ValueError):
-        HypParams(1.0, 1.0, 2.0, 1.0)
     # gamma = -2 with alpha not a suitable non-positive integer
     with pytest.raises(ValueError):
-        HypParams(0.5, -4.0, -2.0, 0.3)
+        _hyp_series(0.5, -4.0, -2.0, 0.3, 1e-15)
     with pytest.raises(ValueError):
-        HypParams(-3.0, -4.0, -2.0, 0.3)
-    HypParams(-1.0, -4.0, -2.0, 0.3)
+        _hyp_series(-3.0, -4.0, -2.0, 0.3, 1e-15)
+    _hyp_series(-1.0, -4.0, -2.0, 0.3, 1e-15)
 
 
-def test_hyp2f1_tol_validation():
-    with pytest.raises(ValueError):
-        hyp2f1(HypParams(1.0, -1.0, 3.0, 0.5), 0.0)
-
-
-# hand-expanded truncated series, fixed before the implementation
+# hand-expanded truncated series, fixed before the implementation;
+# params = (alpha, beta, gamma, z)
 @pytest.mark.parametrize(
     "params, value",
     [
-        (HypParams(1.0, -1.0, 3.0, 0.36), 0.88),
-        (HypParams(3.0, -1.0, 5.0, 0.5), 0.7),
-        (HypParams(2.0, -2.0, 5.0, 0.25), 0.8125),
-        (HypParams(-1.0, -4.0, -2.0, 0.3), 0.4),
-        (HypParams(-2.0, -5.0, -2.0, 0.1), 0.6),
+        ((1.0, -1.0, 3.0, 0.36), 0.88),
+        ((3.0, -1.0, 5.0, 0.5), 0.7),
+        ((2.0, -2.0, 5.0, 0.25), 0.8125),
+        ((-1.0, -4.0, -2.0, 0.3), 0.4),
+        ((-2.0, -5.0, -2.0, 0.1), 0.6),
     ],
 )
 def test_truncated_series_oracles(params, value):
-    assert hyp2f1(params, 1e-15) == pytest.approx(value, abs=1e-15)
+    assert _hyp_series(*params, 1e-15)[0] == pytest.approx(value, abs=1e-15)
 
 
 @given(
@@ -78,7 +61,7 @@ def test_truncated_series_oracles(params, value):
 )
 @settings(max_examples=60)
 def test_hyp2f1_against_scipy(alpha, beta, gamma, z):
-    ours = hyp2f1(HypParams(alpha, beta, gamma, z), 1e-15)
+    ours = _hyp_series(alpha, beta, gamma, z, 1e-15)[0]
     ref = sps.hyp2f1(alpha, beta, gamma, z)
     assert ours == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
@@ -120,13 +103,7 @@ def test_F_k_at_zero_and_preconditions():
 def test_g0_log_branch_n4():
     # 1 - z^2 + 2 z log z at z = 0.5
     dim = Dimension(4)
-    assert g0_branch(dim) == "series"
     assert G_k(dim, 0, 0.5) == pytest.approx(0.75 + math.log(0.5), rel=1e-14)
-
-
-def test_g0_branch_even_only():
-    with pytest.raises(ValueError):
-        g0_branch(Dimension(5))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
@@ -136,6 +113,22 @@ def test_wronskian_identity(n, k):
     for z in (0.05, 0.37, 0.75, 0.95):
         bound = 1e-10 * (k + dim.rho)
         assert abs(wronskian_residual(dim, k, z)) < bound
+
+
+@pytest.mark.parametrize("n", [10, 12, 14, 16, 18, 20])
+def test_g0_satisfies_wronskian_identity(n):
+    # the one G_0 formula holds the k = 0 identity beyond the CLI's n range
+    dim = Dimension(n)
+    for z in (0.05, 0.37, 0.75, 0.95):
+        assert abs(wronskian_residual(dim, 0, z)) < 1e-10 * dim.rho
+
+
+def test_wronskian_residual_rejects_non_integer_order():
+    # a non-integer order must not be truncated to the residual at int(k)
+    dim = Dimension(5)
+    for k in (2.5, -1):
+        with pytest.raises(ValueError):
+            wronskian_residual(dim, k, 0.3)
 
 
 def test_large_k_flattening():
