@@ -7,7 +7,7 @@ equations."""
 __version__ = "0.1.0"
 
 from .specfun import Dimension, F_k, G_k, gegenbauer, gegenbauer_at_one, wronskian_residual
-from .geometry import BallDomain, Point, cos_angle, hyperbolic_distance, hyperbolic_radius, sphere_area
+from .geometry import BallDomain, Point, cos_angle, hyperbolic_distance, sphere_area
 from .kernels import (
     GegenbauerSpectrum,
     SeriesControl,

@@ -64,12 +64,6 @@ def hyperbolic_distance(x, y):
     return 0.5 * math.acosh(arg)
 
 
-def hyperbolic_radius(D):
-    """Hyperbolic radius of the ball of Euclidean radius r:
-    (1/2) log((1+r)/(1-r))."""
-    return 0.5 * math.log((1 + D.r) / (1 - D.r))
-
-
 def cos_angle(x, y):
     """cos of the angle at the origin between x and y, clamped to [-1, 1]
     so downstream Gegenbauer arguments stay in range."""

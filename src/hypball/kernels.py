@@ -1,10 +1,12 @@
 """Spectral evaluation of the Poisson kernel and Green function of the ball
 |x| < r for hyperbolic Brownian motion.
 
-Both kernels are Gegenbauer series in cos(angle) with radial coefficients
-built from F_k and G_k; truncation is controlled by an angle-free majorant
-(Gegenbauer polynomials evaluated at 1) with an empirically fitted
-geometric tail.
+The Poisson kernel is a Gegenbauer series in cos(angle) with radial
+coefficients built from F_k. The Green function is the whole-space Green
+function, closed form through G_0, minus a Gegenbauer series for its Kelvin
+image, which converges geometrically for every pair of points. Truncation
+is controlled by an angle-free majorant (Gegenbauer polynomials evaluated
+at 1) with an empirically fitted geometric tail.
 """
 
 import functools
@@ -19,6 +21,7 @@ from .specfun import (
     F_k,
     G_k,
     _as_order,
+    _g0_pair,
     gegenbauer_at_one,
     gegenbauer_sequence,
 )
@@ -120,8 +123,7 @@ def _fit_tail(majorants, base_ratio):
     """Geometric tail bound from the last few majorant magnitudes: the
     stepwise ratio decreases toward base_ratio, so max(recent) * q/(1-q)
     with q = max(base_ratio, observed) dominates the remainder."""
-    recent = majorants[-5:]
-    c = max(recent)
+    c = max(majorants[-5:])
     q = base_ratio
     if len(majorants) >= 2 and majorants[-2] > 0:
         q = max(q, majorants[-1] / majorants[-2])
@@ -130,16 +132,14 @@ def _fit_tail(majorants, base_ratio):
     return c * q / (1 - q)
 
 
-def _series_table(dim, coefficient, base, target, ctl):
+def _series_table(name, dim, coefficient, base, scale, ctl):
     """Terms (k+rho)/rho * coefficient(k) up to the first k >= _MIN_TERMS - 1
-    whose fitted tail bound is below target, with that bound (or the last
-    bound reached at k_max). The coefficients come in blocks of k, but the
-    cut is the one a term-by-term loop makes."""
-    if base >= 1:
-        # the geometric tail bound can never be met
-        return np.empty(0), math.inf
-    coeffs = []
-    majorants = []
+    whose fitted tail bound is below ctl.tol * scale. The coefficients come
+    in blocks of k, but the cut is the one a term-by-term loop makes.
+    Raises SeriesTruncationError, with the bound over scale, when k_max is
+    reached first."""
+    target = ctl.tol * scale
+    coeffs, majorants = [], []
     c_at_1 = 1.0
     bound = math.inf
     k0, size = 0, 64  # each block of orders is twice as long as the last
@@ -154,26 +154,23 @@ def _series_table(dim, coefficient, base, target, ctl):
             if k + 1 >= _MIN_TERMS:
                 bound = _fit_tail(majorants, base)
                 if bound < target:
-                    return np.array(coeffs), bound
+                    return np.array(coeffs)
         k0, size = k0 + size, 2 * size
-    return np.array(coeffs), bound
+    raise SeriesTruncationError(
+        f"{name} series tail bound {bound / scale:.3e} exceeds tol "
+        f"{ctl.tol:.3e} at k_max={ctl.k_max}",
+        bound / scale,
+    )
 
 
 @functools.lru_cache(maxsize=256)
 def _poisson_table(D, ax, ctl):
     """Coefficients a_k = (k+rho)/rho * poisson_coefficient(k) up to the
     truncation point, cached per (domain, |x|, control)."""
-    area = sphere_area(D.dim, D.r)
-    coeffs, bound = _series_table(
-        D.dim, lambda ks: poisson_coefficient(D, ks, ax), ax / D.r, ctl.tol * area, ctl
+    return _series_table(
+        "poisson", D.dim, lambda ks: poisson_coefficient(D, ks, ax), ax / D.r,
+        sphere_area(D.dim, D.r), ctl,
     )
-    if not bound < ctl.tol * area:
-        raise SeriesTruncationError(
-            f"poisson series tail bound {bound / area:.3e} exceeds tol "
-            f"{ctl.tol:.3e} at k_max={ctl.k_max}",
-            bound / area,
-        )
-    return coeffs
 
 
 def poisson_kernel(D, x, y, ctl=SeriesControl()):
@@ -193,10 +190,26 @@ def poisson_kernel(D, x, y, ctl=SeriesControl()):
     area = sphere_area(D.dim, r)
     if ax == 0.0:
         return 1.0 / area
-    ct = cos_angle(x, y)
     a = _poisson_table(D, ax, ctl)
-    ck = gegenbauer_sequence(D.dim.rho, len(a) - 1, ct)
+    ck = gegenbauer_sequence(D.dim.rho, len(a) - 1, cos_angle(x, y))
     return float(a @ ck) / area
+
+
+def _image_coefficient(D, k, ax, ay):
+    """Gegenbauer coefficient of the Kelvin image in the Green function,
+
+        C_n rho/(k+rho) F_k(ax^2) F_k(ay^2) s^k G_k(r^2) / (F_k(r^2) r^(2 rho)),
+
+    s = ax ay / r^2 < 1, for an integer k or array of k."""
+    dim, rho, r = D.dim, D.dim.rho, D.r
+    fr = _at_boundary(F_k, dim, k, r**2)
+    if np.any(np.abs(fr) < 1e-14):
+        raise RuntimeError("F_k(r^2) vanished; radial solution is corrupt")
+    radial = F_k(dim, k, ax**2) * F_k(dim, k, ay**2) * _powers(ax * ay / r**2, k)
+    return (
+        _green_prefactor(dim) * rho / (k + rho) * radial
+        * _at_boundary(G_k, dim, k, r**2) / (fr * r ** (2 * rho))
+    )
 
 
 def green_coefficient(D, k, ax, R):
@@ -206,8 +219,10 @@ def green_coefficient(D, k, ax, R):
             [ G_k(R^2)/R^(2k+2rho) - G_k(r^2)/r^(2k+2rho) F_k(R^2)/F_k(r^2) ]
 
     evaluated in the ratio form (ax/R)^k and (ax R/r^2)^k so large k never
-    overflows. Symmetric in (ax, R); arguments are ordered internally. An
-    integer array k gives the array of coefficients.
+    overflows; the second half is _image_coefficient. The bracket is the
+    same for every second solution G_k + c z^(k+rho) F_k. Symmetric in
+    (ax, R); arguments are ordered internally. An integer array k gives the
+    array of coefficients.
     """
     k = _as_order(k)
     r = D.r
@@ -215,68 +230,51 @@ def green_coefficient(D, k, ax, R):
         raise ValueError("needs 0 <= ax < r and 0 < R < r")
     if ax > R:
         ax, R = R, ax
-    if ax == 0.0 and np.ndim(k) == 0 and k >= 1:
-        return 0.0
-    dim = D.dim
-    rho = dim.rho
-    t = ax / R
-    s = ax * R / r**2
-    fr = _at_boundary(F_k, dim, k, r**2)
-    if np.any(np.abs(fr) < 1e-14):
-        raise RuntimeError("F_k(r^2) vanished; radial solution is corrupt")
-    bracket = _powers(t, k) * G_k(dim, k, R**2) / R ** (2 * rho) - _powers(
-        s, k
-    ) * _at_boundary(G_k, dim, k, r**2) * F_k(dim, k, R**2) / (fr * r ** (2 * rho))
-    return (
-        _green_prefactor(dim) * rho / (k + rho) * F_k(dim, k, ax**2) * bracket
+    dim, rho = D.dim, D.dim.rho
+    free = (
+        _green_prefactor(dim) * rho / (k + rho) * F_k(dim, k, ax**2)
+        * _powers(ax / R, k) * G_k(dim, k, R**2) / R ** (2 * rho)
     )
+    return free - _image_coefficient(D, k, ax, R)
 
 
 @functools.lru_cache(maxsize=256)
-def _green_table(D, ax, ay, ctl):
-    """Series terms b_k = (k+rho)/rho * green_coefficient(k, ax, ay) up to
-    truncation, with the achieved tail bound. For ax = ay the geometric
-    bound degenerates (term ratio 1) and no term is built."""
-    base = max(ax / ay, ax * ay / D.r**2)
+def _image_table(D, ax, ay, ctl):
+    """Terms (k+rho)/rho * _image_coefficient(k, ax, ay) up to truncation;
+    their ratio tends to s = ax ay / r^2 < 1."""
     return _series_table(
-        D.dim, lambda ks: green_coefficient(D, ks, ax, ay), base, ctl.tol, ctl
+        "green", D.dim, lambda ks: _image_coefficient(D, ks, ax, ay),
+        ax * ay / D.r**2, 1.0, ctl,
     )
 
 
 def green_function(D, x, y, ctl=SeriesControl()):
-    """Green function G_D(x,y) of the ball |x| < r, summed as
+    """Green function G_D(x,y) of the ball |x| < r: the whole-space Green
+    function minus its Kelvin image,
 
-        sum_k (k+rho)/rho * green_coefficient(k, |x|, |y|) * C_k(cos theta).
+        C_n G_0(z) / z^rho
+            - sum_k (k+rho)/rho * _image_coefficient(k, |x|, |y|) * C_k(cos theta),
 
-    x = 0 (or y = 0) reduces to the k = 0 coefficient alone by rotational
-    symmetry. Raises SeriesTruncationError when the tail bound is not met
-    within k_max terms, which includes every pair at equal radii
-    |x| = |y|, where the geometric bound degenerates.
+    z = |x-y|^2 / (1 - 2 x.y + |x|^2 |y|^2) = tanh^2 d(x, y). The image
+    series has ratio |x||y|/r^2 < 1 for every pair, |x| = |y| included; a
+    tail bound not met within k_max terms raises SeriesTruncationError.
+    x = 0 (or y = 0) reduces to the k = 0 coefficient by rotational symmetry.
     """
-    ax = x.norm
-    ay = y.norm
-    r = D.r
-    if ax >= r or ay >= r:
+    ax, ay = x.norm, y.norm
+    if ax >= D.r or ay >= D.r:
         raise ValueError("both points must lie inside the ball")
     if np.array_equal(x.coords, y.coords):
         raise ValueError("green function is singular at x = y")
     if ax == 0.0 or ay == 0.0:
-        if ax == 0.0 and ay == 0.0:
-            raise ValueError("green function is singular at x = y")
         return green_coefficient(D, 0, min(ax, ay), max(ax, ay))
-    if ax > ay:
-        x, y = y, x
-        ax, ay = ay, ax
-    ct = cos_angle(x, y)
-    b, bound = _green_table(D, ax, ay, ctl)
-    if not bound < ctl.tol:
-        raise SeriesTruncationError(
-            f"green series tail bound {bound:.3e} exceeds tol "
-            f"{ctl.tol:.3e} at k_max={ctl.k_max}",
-            bound,
-        )
-    ck = gegenbauer_sequence(D.dim.rho, len(b) - 1, ct)
-    return float(b @ ck)
+    diff = x.coords - y.coords
+    d2 = float(diff @ diff)
+    # 1 - 2 x.y + |x|^2 |y|^2 = (1 - |x|^2)(1 - |y|^2) + |x - y|^2
+    z = d2 / ((1 - ax**2) * (1 - ay**2) + d2)
+    free = _green_prefactor(D.dim) * _g0_pair(D.dim, z)[0] / z**D.dim.rho
+    b = _image_table(D, min(ax, ay), max(ax, ay), ctl)
+    ck = gegenbauer_sequence(D.dim.rho, len(b) - 1, cos_angle(x, y))
+    return free - float(b @ ck)
 
 
 def poisson_from_green_derivative(D, x, u, h, ctl=SeriesControl()):
@@ -330,14 +328,3 @@ def spectrum_of(fn, dim, R, K, tol=1e-10):
         prev = coeffs
         m *= 2
     raise RuntimeError("gegenbauer transform quadrature did not stabilize")
-
-
-def synthesize(spectrum, R, theta):
-    """Evaluate the axially symmetric density with the given transform:
-    1/(omega_{n-1} R^{n-1}) sum_k (k+rho)/rho c_k C_k(cos theta)."""
-    dim = spectrum.dim
-    rho = dim.rho
-    c = np.asarray(spectrum.coefficients)
-    k = np.arange(len(c))
-    ck = gegenbauer_sequence(rho, len(c) - 1, np.cos(theta))
-    return float((k + rho) / rho * c @ ck) / sphere_area(dim, R)

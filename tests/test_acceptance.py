@@ -128,10 +128,7 @@ def test_accept_03_series_vs_closed_form():
         while made < count:
             ax, ay = rng.uniform(0.05 * r, 0.95 * r, size=2)
             ang = rng.uniform(0.0, math.pi)
-            # keep the series in its convergent, non-degenerate regime:
-            # split radii and separated arguments
-            if abs(ax - ay) < 0.05 * r:
-                continue
+            # separated arguments; equal and near-equal radii are allowed
             x, y = axis_point(n, ax), plane_point(n, ay, ang)
             if np.linalg.norm(x.coords - y.coords) < 0.05 * r:
                 continue

@@ -157,14 +157,21 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):
-    for argv in (
-        # |x|/r = 0.917 needs far more than 10 terms at tol 1e-10
-        ["pk-eval", "--kmax", "10", "--x", "0.55"],
-        # equal radii: the Green tail bound degenerates and is never met
-        ["green-eval", "--n", "6", "--x", "0.3", "--y", "0.3"],
-    ):
-        out = tmp_path / "out.csv"
-        assert run(parse_config(argv + ["--output", str(out)])) == 3
-        rec = json.loads(capsys.readouterr().err)
-        assert rec["error"] == "SeriesTruncationError" and rec["status"] == 3
-        assert not out.exists()
+    # |x|/r = 0.917 needs far more than 10 terms at tol 1e-10
+    out = tmp_path / "out.csv"
+    argv = ["pk-eval", "--kmax", "10", "--x", "0.55", "--output", str(out)]
+    assert run(parse_config(argv)) == 3
+    rec = json.loads(capsys.readouterr().err)
+    assert rec["error"] == "SeriesTruncationError" and rec["status"] == 3
+    assert not out.exists()
+
+
+def test_green_eval_at_equal_radii(tmp_path):
+    # |x| = |y|: the image series converges like (|x||y|/r^2)^k = 0.25^k
+    out = tmp_path / "g.csv"
+    argv = ["green-eval", "--n", "6", "--x", "0.3", "--y", "0.3", "--output", str(out)]
+    assert run(parse_config(argv)) == 0
+    _, _, rows = read_table(out)
+    values = [float(r[1]) for r in rows]
+    assert len(values) == 64
+    assert all(math.isfinite(v) and v > 0 for v in values)

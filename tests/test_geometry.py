@@ -9,7 +9,6 @@ from hypball.geometry import (
     Point,
     cos_angle,
     hyperbolic_distance,
-    hyperbolic_radius,
     sphere_area,
     unit_sphere_area,
 )
@@ -77,18 +76,6 @@ def test_distance_from_origin_is_atanh():
         x = Point([t, 0.0, 0.0])
         o = Point([0.0, 0.0, 0.0])
         assert hyperbolic_distance(o, x) == pytest.approx(math.atanh(t), rel=1e-13)
-
-
-def test_hyperbolic_radius_matches_center_distance():
-    dim = Dimension(5)
-    D = BallDomain(dim, 0.7)
-    o = Point(np.zeros(5))
-    edge = Point([0.7 - 1e-15, 0, 0, 0, 0])
-    assert hyperbolic_radius(D) == pytest.approx(
-        hyperbolic_distance(o, edge), abs=1e-12
-    )
-    # atanh(r) in another guise
-    assert hyperbolic_radius(D) == pytest.approx(math.atanh(0.7), rel=1e-14)
 
 
 @given(interior_points(3), interior_points(3), st.integers(0, 2**31 - 1))

@@ -1,14 +1,17 @@
 import math
 
+import mp_reference
 import numpy as np
 import pytest
 
+from hypball.closedform import green_closed_n4, green_closed_n6
 from hypball.geometry import BallDomain, Point, sphere_area
 from hypball.kernels import (
     GegenbauerSpectrum,
     SeriesControl,
     SeriesTruncationError,
-    _green_table,
+    _image_coefficient,
+    _image_table,
     _poisson_table,
     green_coefficient,
     green_function,
@@ -16,9 +19,8 @@ from hypball.kernels import (
     poisson_from_green_derivative,
     poisson_kernel,
     spectrum_of,
-    synthesize,
 )
-from hypball.specfun import Dimension
+from hypball.specfun import Dimension, gegenbauer_sequence
 
 
 def ball(n, r=0.6):
@@ -115,14 +117,6 @@ def test_spectrum_round_trip():
         assert spec.coefficients[k] == pytest.approx(
             poisson_coefficient(D, k, 0.3), abs=1e-8
         )
-    # and back: synthesis reproduces the kernel pointwise
-    big = spectrum_of(
-        lambda t: poisson_kernel(D, x, on_sphere(0.6, t, 4)), D.dim, 0.6, 40
-    )
-    for t in (0.4, 1.3, 2.6):
-        assert synthesize(big, 0.6, t) == pytest.approx(
-            poisson_kernel(D, x, on_sphere(0.6, t, 4)), rel=1e-8
-        )
 
 
 def test_spectrum_of_validation():
@@ -186,28 +180,62 @@ def test_green_positive_and_vanishing_at_boundary():
     assert 0 < edge < 1e-3 * mid
 
 
-def test_green_equal_radii_raises():
-    # at |x| = |y| the geometric tail bound degenerates; the truncated sum
-    # is far off the closed form, so it must not be returned
+def test_green_equal_radii_matches_closed_form():
+    # at |x| = |y| the image series still has ratio |x||y|/r^2 = 0.25, so
+    # the sum meets its absolute tolerance
     D = ball(4)
     x = Point([0.3, 0, 0, 0])
     y = Point([0.0, 0.3, 0, 0])
     ctl = SeriesControl(k_max=300, tol=1e-10)
-    with pytest.raises(SeriesTruncationError) as err:
-        green_function(D, x, y, ctl)
-    assert err.value.achieved == math.inf
+    assert abs(green_function(D, x, y, ctl) - green_closed_n4(D, x, y)) < ctl.tol
 
 
-def test_green_equal_radii_raises_before_summing():
-    # odd n: every Green coefficient is a long series, yet none is built
+def test_green_equal_radii_odd_n_matches_mpmath():
     D = ball(5)
     x = Point([0.3, 0, 0, 0, 0])
     y = Point([0.0, 0.3, 0, 0, 0])
     ctl = SeriesControl()
-    with pytest.raises(SeriesTruncationError) as err:
-        green_function(D, x, y, ctl)
-    assert err.value.achieved == math.inf
-    assert _green_table(D, 0.3, 0.3, ctl)[0].size == 0
+    ref = mp_reference.green(5, 0.6, x.coords, y.coords)
+    assert abs(green_function(D, x, y, ctl) - ref) < ctl.tol
+
+
+# near the diagonal: |x| = r/2, |y|/|x| in {1, 1.003, 1.01}; the image
+# tail is summed to 1e-14 absolute, so the relative error is the split's
+NEAR_DIAGONAL = [(r, ratio, theta) for r in (0.3, 0.6, 0.95)
+                 for ratio in (1.0, 1.003, 1.01) for theta in (0.05, 0.5, 2.0)]
+
+
+@pytest.mark.parametrize("n, closed", [(4, green_closed_n4), (6, green_closed_n6)])
+def test_green_near_diagonal_matches_closed_forms(n, closed):
+    ctl = SeriesControl(tol=1e-14)
+    for r, ratio, theta in NEAR_DIAGONAL:
+        D = ball(n, r)
+        x, y = on_sphere(0.5 * r, 0.0, n), on_sphere(0.5 * r * ratio, theta, n)
+        ref = closed(D, x, y)
+        assert abs(green_function(D, x, y, ctl) - ref) < 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_green_near_diagonal_odd_n_matches_mpmath(n):
+    ctl = SeriesControl(tol=1e-14)
+    for r, ratio, theta in NEAR_DIAGONAL:
+        D = ball(n, r)
+        x, y = on_sphere(0.5 * r, 0.0, n), on_sphere(0.5 * r * ratio, theta, n)
+        ref = mp_reference.green(n, r, x.coords, y.coords)
+        assert abs(green_function(D, x, y, ctl) - ref) < 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_green_split_matches_coefficient_series(n):
+    # at split radii the plain series of green_coefficient converges (ratio
+    # |x|/|y| = 1/2), and its free halves must sum to the whole-space part
+    D = ball(n)
+    rho = D.dim.rho
+    ks = np.arange(80)
+    terms = (ks + rho) / rho * green_coefficient(D, ks, 0.2, 0.4)
+    series = terms @ gegenbauer_sequence(rho, 79, math.cos(1.0))
+    x, y = on_sphere(0.2, 0.0, n), on_sphere(0.4, 1.0, n)
+    assert green_function(D, x, y) == pytest.approx(series, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -215,19 +243,19 @@ def test_green_equal_radii_raises_before_summing():
     [(4, 0.6, 0.3, 0.2), (5, 0.95, 0.9, 0.8), (3, 0.6, 0.55, 0.4), (6, 0.3, 0.25, 0.1)],
 )
 def test_tables_match_scalar_coefficients(n, r, ax, ay):
-    # blocks of orders give the term-by-term values; six of these eight
+    # blocks of orders give the term-by-term values; four of these eight
     # tables are longer than the first block of 64 orders
     D = ball(n, r)
     rho = D.dim.rho
     ctl = SeriesControl()
     a = _poisson_table(D, ax, ctl)
-    b, _ = _green_table(D, ay, ax, ctl)
+    b = _image_table(D, ay, ax, ctl)
     assert len(a) > 10 and len(b) > 10
     assert np.array_equal(
         a, [(k + rho) / rho * poisson_coefficient(D, k, ax) for k in range(len(a))]
     )
     assert np.array_equal(
-        b, [(k + rho) / rho * green_coefficient(D, k, ay, ax) for k in range(len(b))]
+        b, [(k + rho) / rho * _image_coefficient(D, k, ay, ax) for k in range(len(b))]
     )
 
 

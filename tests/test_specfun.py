@@ -1,5 +1,7 @@
 import math
 
+import mp_reference
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -29,15 +31,14 @@ def test_dimension_validation():
 
 
 def test_hyp_params_validation():
-    # gamma = -2 with alpha not a suitable non-positive integer
-    with pytest.raises(ValueError):
-        _hyp_series(0.5, -4.0, -2.0, 0.3, 1e-15)
-    with pytest.raises(ValueError):
-        _hyp_series(-3.0, -4.0, -2.0, 0.3, 1e-15)
-    _hyp_series(-1.0, -4.0, -2.0, 0.3, 1e-15)
+    # a non-positive integer gamma is rejected, even where alpha = -l with
+    # l <= -gamma would stop the series before gamma + i reaches 0
+    for alpha in (0.5, -3.0, -1.0):
+        with pytest.raises(ValueError):
+            _hyp_series(alpha, -4.0, -2.0, 0.3, 1e-15)
 
 
-# hand-expanded truncated series, fixed before the implementation;
+# hand-expanded terminating series, fixed before the implementation;
 # params = (alpha, beta, gamma, z)
 @pytest.mark.parametrize(
     "params, value",
@@ -45,8 +46,6 @@ def test_hyp_params_validation():
         ((1.0, -1.0, 3.0, 0.36), 0.88),
         ((3.0, -1.0, 5.0, 0.5), 0.7),
         ((2.0, -2.0, 5.0, 0.25), 0.8125),
-        ((-1.0, -4.0, -2.0, 0.3), 0.4),
-        ((-2.0, -5.0, -2.0, 0.1), 0.6),
     ],
 )
 def test_truncated_series_oracles(params, value):
@@ -78,11 +77,13 @@ def test_F_k_oracles(n, k, z, value):
     assert F_k(Dimension(n), k, z) == pytest.approx(value, abs=1e-15)
 
 
+# by hand from the vanishing solution: G_1 = (1-z)^(n-1), and at n = 4
+# G_2 = 2 (1-z)^3 (z + (1-z)/2)
 @pytest.mark.parametrize(
     "n, k, z, value",
     [
-        (4, 2, 0.3, 0.4),
-        (6, 1, 0.1, 0.6),
+        (4, 2, 0.3, 0.4459),
+        (6, 1, 0.1, 0.59049),
     ],
 )
 def test_G_k_oracles(n, k, z, value):
@@ -115,12 +116,24 @@ def test_wronskian_identity(n, k):
         assert abs(wronskian_residual(dim, k, z)) < bound
 
 
-@pytest.mark.parametrize("n", [10, 12, 14, 16, 18, 20])
+@pytest.mark.parametrize("n", [10, 12, 14, 16, 18, 20, 22, 24, 30])
 def test_g0_satisfies_wronskian_identity(n):
-    # the one G_0 formula holds the k = 0 identity beyond the CLI's n range
+    # G_0 holds the k = 0 identity beyond the CLI's n range; z = 0.05 takes
+    # the finite sum, the others the series in 1 - z, where the finite sum
+    # cancels (7.6e-7 at n = 30)
     dim = Dimension(n)
     for z in (0.05, 0.37, 0.75, 0.95):
         assert abs(wronskian_residual(dim, 0, z)) < 1e-10 * dim.rho
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_g0_against_mpmath_across_split(n):
+    # both forms of G_0, on either side of the switch between them
+    dim = Dimension(n)
+    with mp.workdps(40):
+        for z in (0.01, 0.0999, 0.1, 0.3, 0.99):
+            ref = mp_reference.g_value(n, 0, z)
+            assert abs((G_k(dim, 0, z) - ref) / ref) < 1e-13
 
 
 def test_wronskian_residual_rejects_non_integer_order():
@@ -153,19 +166,18 @@ def test_radial_sweep_matches_scalar_loop(n):
         assert np.array_equal(G_k(dim, ks, z), [G_k(dim, k, z) for k in range(601)])
 
 
-@pytest.mark.parametrize("n", [3, 5])
-@pytest.mark.parametrize("z, g_rel", [(0.9025, 1e-12), (0.98, 1e-8)])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("z, g_rel", [(0.9025, 1e-12), (0.98, 1e-12)])
 def test_radial_layer_against_mpmath(n, z, g_rel):
-    # odd n, large k, z -> 1; G_k is a terminating sum with cancellation
-    # that grows as z -> 1 (1.2e-9 relative at n=5, z=0.98)
-    mpmath = pytest.importorskip("mpmath")
+    # large k and z -> 1, against the definitions; G_k is the solution that
+    # vanishes at z = 1, summed from positive terms (the alternating odd-n
+    # series it replaced lost 1.2e-9 relative at n=5, z=0.98)
     dim = Dimension(n)
-    ks = [0, 1, 7, 50, 200, 600, 1000]
-    rho, half = mpmath.mpf(n - 2) / 2, mpmath.mpf(n) / 2
-    with mpmath.workdps(60):
+    ks = [0, 1, 7, 50, 200, 600, 1000, 2000]
+    with mp.workdps(60):
         for k, f, g in zip(ks, F_k(dim, np.array(ks), z), G_k(dim, np.array(ks), z)):
-            f_ref = mpmath.hyp2f1(k, -rho, k + half, z)
-            g_ref = mpmath.hyp2f1(-rho, 2 - k - n, 2 - k - half, z)
+            f_ref = mp_reference.f_value(n, k, z)
+            g_ref = mp_reference.g_value(n, k, z)
             assert abs((f - f_ref) / f_ref) < 1e-12
             assert abs((g - g_ref) / g_ref) < g_rel
 
