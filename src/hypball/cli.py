@@ -149,58 +149,46 @@ def _axis_point(n, radius):
     return Point(v)
 
 
-def _plane_point(n, radius, theta):
-    v = np.zeros(n)
-    v[0] = radius * math.cos(theta)
-    v[1] = radius * math.sin(theta)
-    return Point(v)
+def _plane_rows(n, polar):
+    """(m, n) array of the points (radius cos theta, radius sin theta, 0, ...)
+    for the (radius, theta) pairs in polar."""
+    rows = np.zeros((len(polar), n))
+    for row, (radius, theta) in zip(rows, polar):
+        row[:2] = radius * math.cos(theta), radius * math.sin(theta)
+    return rows
 
 
-def _theta_midpoints(m):
-    # open grid; the poles are either trivial (sin weight 0) or singular
-    return [(j + 0.5) * math.pi / m for j in range(m)]
-
-
-def _theta_table(cfg, radius, evaluate):
-    """(columns, rows) of one value per theta midpoint, y on the circle of
-    the given radius in the (e1, e2) plane and x on the e1 axis."""
+def _theta_table(cfg, radius, fn, ctl):
+    """(columns, rows) of fn(D, x, ys, ctl) at one y per theta midpoint, on
+    the circle of the given radius in the (e1, e2) plane, x on the e1 axis."""
     dim = cfg.dim()
     D = BallDomain(dim, cfg.r)
     x = _axis_point(dim.n, cfg.x)
-    thetas = _theta_midpoints(cfg.theta_grid)
-    ys = [_plane_point(dim.n, radius, theta) for theta in thetas]
-    return ("theta", "value"), list(zip(thetas, evaluate(D, x, ys)))
+    # open grid; the poles are either trivial (sin weight 0) or singular
+    thetas = [(j + 0.5) * math.pi / cfg.theta_grid for j in range(cfg.theta_grid)]
+    ys = _plane_rows(dim.n, [(radius, theta) for theta in thetas])
+    return ("theta", "value"), list(zip(thetas, fn(D, x, ys, ctl).tolist()))
 
 
-def _pk_table(cfg, evaluate):
-    return _theta_table(cfg, cfg.r, evaluate) + ({},)
+def _pk_table(cfg, fn, ctl):
+    return _theta_table(cfg, cfg.r, fn, ctl) + ({},)
 
 
-def _green_table(cfg, evaluate):
+def _green_table(cfg, fn, ctl):
     ay = cfg.y if cfg.y is not None else 0.5 * cfg.r
-    return _theta_table(cfg, ay, evaluate) + ({"y_radius": ay},)
-
-
-def _each(fn, ctl):
-    """Table evaluator calling fn once per point."""
-    return lambda D, x, ys: [fn(D, x, y, ctl) for y in ys]
-
-
-def _batched(fn, qctl):
-    """Table evaluator calling fn once on the array of all points."""
-    return lambda D, x, ys: fn(D, x, np.array([y.coords for y in ys]), qctl).tolist()
+    return _theta_table(cfg, ay, fn, ctl) + ({"y_radius": ay},)
 
 
 def _cmd_pk_eval(cfg):
-    return _pk_table(cfg, _each(poisson_kernel, cfg.series()))
+    return _pk_table(cfg, poisson_kernel, cfg.series())
 
 
 def _cmd_pk_closed(cfg):
-    return _pk_table(cfg, _batched(poisson_integral, cfg.quadrature()))
+    return _pk_table(cfg, poisson_integral, cfg.quadrature())
 
 
 def _cmd_green_eval(cfg):
-    return _green_table(cfg, _each(green_function, cfg.series()))
+    return _green_table(cfg, green_function, cfg.series())
 
 
 def _cmd_green_closed(cfg):
@@ -208,7 +196,7 @@ def _cmd_green_closed(cfg):
     if dim.n not in (4, 6):
         raise ValueError("green-closed needs n in {4, 6}")
     fn = green_closed_n4 if dim.n == 4 else green_closed_n6
-    return _green_table(cfg, _batched(fn, cfg.quadrature()))
+    return _green_table(cfg, fn, cfg.quadrature())
 
 
 def _cmd_coeffs(cfg):
@@ -265,10 +253,8 @@ def _suite_normalization(cfg):
             D = BallDomain(dim, r)
             for frac in (0.0, 1.0 / 3.0, 2.0 / 3.0):
                 x = _axis_point(dim.n, frac * r)
-                vals = np.array(
-                    [poisson_kernel(D, x, _plane_point(dim.n, r, t), ctl)
-                     for t in theta]
-                )
+                ys = _plane_rows(dim.n, [(r, t) for t in theta])
+                vals = poisson_kernel(D, x, ys, ctl)
                 integral = (
                     unit_sphere_area(dim.n - 2) * r ** (dim.n - 1)
                     * 0.5 * math.pi
@@ -311,22 +297,18 @@ def _suite_green(cfg):
     for dim in cfg.dims():
         D = BallDomain(dim, cfg.r)
         x = _axis_point(dim.n, 0.4 * cfg.r)
-        # scale of G over the middle of the domain, sampled off-diagonal
-        mid = max(
-            green_function(D, x, _plane_point(dim.n, rad * cfg.r, ang), ctl)
-            for rad, ang in ((0.45, 0.3), (0.5, 0.5), (0.5, 1.0))
-        )
-        edge = green_function(
-            D, x, _plane_point(dim.n, cfg.r - 1e-4, 2.0), ctl
-        )
-        ratio = abs(edge / mid)
+        # scale of G over the middle of the domain, sampled off-diagonal,
+        # against G next to the boundary
+        polar = ((0.45 * cfg.r, 0.3), (0.5 * cfg.r, 0.5), (0.5 * cfg.r, 1.0),
+                 (cfg.r - 1e-4, 2.0))
+        *middle, edge = green_function(D, x, _plane_rows(dim.n, polar), ctl).tolist()
+        ratio = abs(edge / max(middle))
         rows.append((dim.n, "boundary_vanishing", ratio, 1e-5, ratio < 1e-5))
-        a = _plane_point(dim.n, 0.35 * cfg.r, 0.7)
-        b = _plane_point(dim.n, 0.55 * cfg.r, 2.1)
-        swap = abs(green_function(D, a, b, ctl) - green_function(D, b, a, ctl))
-        rel = swap / abs(green_function(D, a, b, ctl))
+        polar = ((0.35 * cfg.r, 0.7), (0.55 * cfg.r, 2.1), (cfg.r, 1.1))
+        a, b, u = (Point(row) for row in _plane_rows(dim.n, polar))
+        g_ab = green_function(D, a, b, ctl)
+        rel = abs(g_ab - green_function(D, b, a, ctl)) / abs(g_ab)
         rows.append((dim.n, "swap_symmetry", rel, 1e-9, rel <= 1e-9))
-        u = _plane_point(dim.n, cfg.r, 1.1)
         exact = poisson_kernel(D, x, u, ctl)
         errs = [
             abs(poisson_from_green_derivative(D, x, u, h, ctl) - exact)

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import loggamma, rgamma
 
-from .geometry import Point
+from .geometry import as_rows
 from .specfun import Dimension, F_k
 
 # dead band on r^4 - 14 r^2 + 1 inside which the critical-regime formula
@@ -96,16 +95,6 @@ def _integrate_decaying(f, beta, ctl):
         err = np.concatenate([err[keep], new_err])
 
 
-def _rows(y):
-    """y as an (m, n) coordinate array, and whether it was a single Point."""
-    if isinstance(y, Point):
-        return y.coords[None, :], True
-    ys = np.asarray(y, dtype=float)
-    if ys.ndim != 2:
-        raise ValueError("y must be a Point or an (m, n) array of points")
-    return ys, False
-
-
 def _cleared_polynomial(dim, z, k):
     """F_k(z) with its k-denominators cleared: f_z(k) Gamma(k+n/2+rho) =
     sum_i (k)_i (-rho)_i z^i/i! (k+n/2+i)_(rho-i), a polynomial in k of
@@ -142,6 +131,7 @@ def f_entire(dim, z, k):
     i ~ 170 even though the terms themselves keep shrinking) and the
     series is summed to roundoff.
     """
+    from scipy.special import loggamma, rgamma  # slow to import, so only here
     if not 0 <= z < 1:
         raise ValueError("needs z in [0, 1)")
     rho = dim.rho
@@ -316,7 +306,7 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
     ax = x.norm
     if ax >= r:
         raise ValueError("x must lie inside the ball")
-    ys, single = _rows(y)
+    ys, single = as_rows(y)
     if np.any(np.abs(np.linalg.norm(ys, axis=1) - r) > 1e-12):
         raise ValueError("y must lie on the sphere |y| = r")
     x2 = ax**2
@@ -353,7 +343,7 @@ def _green_args(D, n, x, y):
     r^2, K0), with Y, x.y, d^2 and K0 one entry per point y."""
     if D.dim.n != n:
         raise ValueError(f"needs n = {n}")
-    ys, single = _rows(y)
+    ys, single = as_rows(y)
     r2 = D.r**2
     x2 = x.norm**2
     y2 = np.linalg.norm(ys, axis=1) ** 2

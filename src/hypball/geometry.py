@@ -28,7 +28,7 @@ class Point:
 
     @property
     def norm(self):
-        return float(np.linalg.norm(self.coords))
+        return math.sqrt(self.coords.dot(self.coords))
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,29 @@ def hyperbolic_distance(x, y):
     return 0.5 * math.acosh(arg)
 
 
+def as_rows(y):
+    """y as an (m, n) coordinate array, and whether it was a single Point."""
+    if isinstance(y, Point):
+        return y.coords[None, :], True
+    ys = np.asarray(y, dtype=float)
+    if ys.ndim != 2:
+        raise ValueError("y must be a Point or an (m, n) array of points")
+    return ys, False
+
+
+def row_norms(ys):
+    """[Point.norm of each row] of an (m, n) array, bit for bit."""
+    return [math.sqrt(row.dot(row)) for row in ys]
+
+
 def cos_angle(x, y):
     """cos of the angle at the origin between x and y, clamped to [-1, 1]
-    so downstream Gegenbauer arguments stay in range."""
-    nx = x.norm
-    ny = y.norm
-    if nx == 0 or ny == 0:
+    so downstream Gegenbauer arguments stay in range. y is a Point (a float
+    back) or an (m, n) array (an array back), one dot per row as for a Point."""
+    ys, single = as_rows(y)
+    nx, nys = x.norm, row_norms(ys)
+    if nx == 0 or 0.0 in nys:
         raise ValueError("angle at the origin undefined for the zero vector")
-    c = float(x.coords @ y.coords) / (nx * ny)
-    return min(1.0, max(-1.0, c))
+    c = [float(x.coords.dot(row)) / (nx * ny) for row, ny in zip(ys, nys)]
+    c = [min(1.0, max(-1.0, v)) for v in c]
+    return c[0] if single else np.array(c)

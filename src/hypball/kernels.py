@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point, cos_angle, sphere_area, unit_sphere_area
+from .geometry import Point, as_rows, cos_angle, row_norms, sphere_area, unit_sphere_area
 from .specfun import (
     Dimension,
     F_k,
@@ -173,26 +173,39 @@ def _poisson_table(D, ax, ctl):
     )
 
 
+def _gegenbauer_sums(rho, a, c):
+    """[sum_k a_k C_k^(rho)(c)] for a cosine c (a float), or for each of an
+    array of cosines. An array runs one recurrence, then each point takes
+    the contiguous dot a single cosine takes, so each sum keeps its bits."""
+    ck = gegenbauer_sequence(rho, len(a) - 1, c)
+    cols = [ck] if isinstance(c, float) else np.ascontiguousarray(ck.T)
+    return [float(a @ col) for col in cols]
+
+
 def poisson_kernel(D, x, y, ctl=SeriesControl()):
     """Poisson kernel P_r(x,y): density of the exit law from the ball of
     radius r started at x, with respect to Euclidean surface measure on
     the sphere |y| = r.
 
     Summed as 1/(omega_{n-1} r^{n-1}) * sum_k (k+rho)/rho *
-    poisson_coefficient(k) * C_k^{(rho)}(cos theta).
+    poisson_coefficient(k) * C_k^{(rho)}(cos theta). y is a Point (returns
+    a float) or an (m, n) array of points on the sphere (returns shape
+    (m,)); all of them share the one table of |x|.
     """
+    ys, single = as_rows(y)
     r = D.r
     ax = x.norm
     if ax >= r:
         raise ValueError("x must lie inside the ball")
-    if abs(y.norm - r) > 1e-12:
+    if not all(abs(ny - r) <= 1e-12 for ny in row_norms(ys)):
         raise ValueError("y must lie on the sphere |y| = r")
     area = sphere_area(D.dim, r)
     if ax == 0.0:
-        return 1.0 / area
-    a = _poisson_table(D, ax, ctl)
-    ck = gegenbauer_sequence(D.dim.rho, len(a) - 1, cos_angle(x, y))
-    return float(a @ ck) / area
+        values = [1.0 / area] * len(ys)
+    else:
+        a = _poisson_table(D, ax, ctl)
+        values = [s / area for s in _gegenbauer_sums(D.dim.rho, a, cos_angle(x, y))]
+    return values[0] if single else np.array(values)
 
 
 def _image_coefficient(D, k, ax, ay):
@@ -259,22 +272,35 @@ def green_function(D, x, y, ctl=SeriesControl()):
     series has ratio |x||y|/r^2 < 1 for every pair, |x| = |y| included; a
     tail bound not met within k_max terms raises SeriesTruncationError.
     x = 0 (or y = 0) reduces to the k = 0 coefficient by rotational symmetry.
+    y is a Point (returns a float) or an (m, n) array of points (returns
+    shape (m,)), with one image table per distinct |y|.
     """
-    ax, ay = x.norm, y.norm
-    if ax >= D.r or ay >= D.r:
+    ys, single = as_rows(y)
+    ax, ays = x.norm, row_norms(ys)
+    if not (ax < D.r and all(ay < D.r for ay in ays)):
         raise ValueError("both points must lie inside the ball")
-    if np.array_equal(x.coords, y.coords):
+    d2s = [float(diff.dot(diff)) for diff in x.coords - ys]
+    if 0.0 in d2s:
         raise ValueError("green function is singular at x = y")
-    if ax == 0.0 or ay == 0.0:
-        return green_coefficient(D, 0, min(ax, ay), max(ax, ay))
-    diff = x.coords - y.coords
-    d2 = float(diff @ diff)
-    # 1 - 2 x.y + |x|^2 |y|^2 = (1 - |x|^2)(1 - |y|^2) + |x - y|^2
-    z = d2 / ((1 - ax**2) * (1 - ay**2) + d2)
-    free = _green_prefactor(D.dim) * _g0_pair(D.dim, z)[0] / z**D.dim.rho
-    b = _image_table(D, min(ax, ay), max(ax, ay), ctl)
-    ck = gegenbauer_sequence(D.dim.rho, len(b) - 1, cos_angle(x, y))
-    return free - float(b @ ck)
+    dim, rho = D.dim, D.dim.rho
+    rows_at = {}
+    for i, ay in enumerate(ays):
+        rows_at.setdefault(ay, []).append(i)
+    values = [None] * len(ays)
+    for ay, idx in rows_at.items():
+        lo, hi = min(ax, ay), max(ax, ay)
+        if lo == 0.0:
+            g = green_coefficient(D, 0, lo, hi)
+            for i in idx:
+                values[i] = g
+            continue
+        b = _image_table(D, lo, hi, ctl)
+        image = _gegenbauer_sums(rho, b, cos_angle(x, y if single else ys[idx]))
+        for i, s in zip(idx, image):
+            # 1 - 2 x.y + |x|^2 |y|^2 = (1 - |x|^2)(1 - |y|^2) + |x - y|^2
+            z = d2s[i] / ((1 - ax**2) * (1 - ay**2) + d2s[i])
+            values[i] = _green_prefactor(dim) * _g0_pair(dim, z)[0] / z**rho - s
+    return values[0] if single else np.array(values)
 
 
 def poisson_from_green_derivative(D, x, u, h, ctl=SeriesControl()):

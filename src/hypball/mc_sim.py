@@ -472,7 +472,9 @@ def estimate_gauge(dim, k, R0, D, cfg):
 def exit_coefficients(samples, dim, k_max):
     """Empirical normalized Gegenbauer coefficients of the exit law,
     mean of C_k(phi_exit)/C_k(1) for k = 0..k_max, with standard errors.
-    k=0 is exactly 1 by construction."""
+    k=0 is exactly 1 by construction; fewer than 2 exits raise RuntimeError."""
+    if len(samples) < 2:
+        raise RuntimeError(f"standard errors need 2 exit samples, got {len(samples)}")
     vals = gegenbauer_sequence(dim.rho, k_max, samples.phi_exit)
     norms = np.array([gegenbauer_at_one(dim.rho, k) for k in range(k_max + 1)])
     scaled = vals / norms[:, None]

@@ -158,12 +158,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 def test_numerical_failures_exit_3(tmp_path, capsys):
     # |x|/r = 0.917 needs far more than 10 terms at tol 1e-10
-    out = tmp_path / "out.csv"
-    argv = ["pk-eval", "--kmax", "10", "--x", "0.55", "--output", str(out)]
-    assert run(parse_config(argv)) == 3
-    rec = json.loads(capsys.readouterr().err)
-    assert rec["error"] == "SeriesTruncationError" and rec["status"] == 3
-    assert not out.exists()
+    # and one Monte Carlo path leaves no standard error for the z-scores
+    cases = [
+        (["pk-eval", "--kmax", "10", "--x", "0.55"], "SeriesTruncationError"),
+        (["mc-validate", "--paths", "1"], "RuntimeError"),
+    ]
+    for argv, error in cases:
+        out = tmp_path / "out.csv"
+        assert run(parse_config(argv + ["--output", str(out)])) == 3
+        rec = json.loads(capsys.readouterr().err)
+        assert rec["error"] == error and rec["status"] == 3
+        assert not out.exists()
 
 
 def test_green_eval_at_equal_radii(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
@@ -48,6 +50,14 @@ def test_f_entire_matches_F_k_at_integers(n):
         for z in (0.0, 0.3, 0.8):
             expect = F_k(dim, k, z) / math.gamma(k + n / 2)
             assert f_entire(dim, z, k) == pytest.approx(expect, rel=1e-12)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # f_entire, the only user of scipy.special, imports it when first called
+    code = "import sys, hypball; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_f_entire_complex_symmetry():

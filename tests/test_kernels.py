@@ -259,6 +259,37 @@ def test_tables_match_scalar_coefficients(n, r, ax, ay):
     )
 
 
+@pytest.mark.parametrize("r", [0.3, 0.6, 0.95])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_array_rows_match_single_points(n, r):
+    # each row of an array call gives the bits of the Point call for it
+    D = ball(n, r)
+    x, origin = on_sphere(0.6 * r, 0.4, n), Point(np.zeros(n))
+    thetas = [(j + 0.5) * math.pi / 24 for j in range(24)]
+    sphere = [on_sphere(r, t, n).coords for t in thetas]
+    # several |y|, one of them |x|, and y = 0
+    inner = [on_sphere(f * r, t, n).coords for f in (0.2, 0.6, 0.9) for t in thetas[::4]]
+    cases = [
+        (poisson_kernel, x, sphere),
+        (poisson_kernel, origin, sphere[:3]),
+        (green_function, x, inner + [np.zeros(n)]),
+        (green_function, origin, inner[::3]),
+    ]
+    for fn, x0, rows in cases:
+        table = fn(D, x0, np.array(rows))
+        assert isinstance(table, np.ndarray) and table.shape == (len(rows),)
+        for row, value in zip(rows, table.tolist()):
+            single = fn(D, x0, Point(row))
+            assert type(single) is float and single == value
+    near = on_sphere(0.5 * r, 0.1, n).coords
+    with pytest.raises(ValueError):
+        poisson_kernel(D, x, np.array([sphere[0], 0.99 * sphere[1]]))
+    with pytest.raises(ValueError):
+        green_function(D, x, np.array([near, x.coords]))
+    with pytest.raises(ValueError):
+        green_function(D, x, np.array([near, 1.05 * sphere[0]]))
+
+
 def test_green_truncation_error():
     D = ball(4)
     x = Point([0.5, 0, 0, 0])

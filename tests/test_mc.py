@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,18 @@ def test_cartesian_exit_law_matches_harmonic_measure():
     for k in (1, 2, 3):
         target = poisson_coefficient(BALL4, k, 0.3)
         assert abs(est[k] - target) < 4 * se[k]
+
+
+def test_exit_coefficients_need_two_samples():
+    # one exit has no standard error: raise before numpy warns and returns nan
+    one = simulate_polar(DIM4, 0.09, BALL4, SdeConfig(dt=1e-3, n_paths=1, seed=11))
+    assert len(one) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="2 exit samples"):
+            exit_coefficients(one, DIM4, 3)
+        with pytest.raises(RuntimeError, match="2 exit samples"):
+            exit_coefficients(mc_sim.ExitSamples([], [], None, 5), DIM4, 3)
 
 
 def test_polar_exit_law_matches_harmonic_measure():
