@@ -304,10 +304,10 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
         raise ValueError("integral representation only for n in {4, 6}")
     r = D.r
     ax = x.norm
-    if ax >= r:
+    if not ax < r:
         raise ValueError("x must lie inside the ball")
     ys, single = as_rows(y)
-    if np.any(np.abs(np.linalg.norm(ys, axis=1) - r) > 1e-12):
+    if not np.all(np.abs(np.linalg.norm(ys, axis=1) - r) <= 1e-12):
         raise ValueError("y must lie on the sphere |y| = r")
     x2 = ax**2
     r2 = r**2
@@ -347,7 +347,7 @@ def _green_args(D, n, x, y):
     r2 = D.r**2
     x2 = x.norm**2
     y2 = np.linalg.norm(ys, axis=1) ** 2
-    if x2 >= r2 or np.any(y2 >= r2):
+    if not (x2 < r2 and np.all(y2 < r2)):
         raise ValueError("both points must lie inside the ball")
     xy = ys @ x.coords
     d2 = x2 + y2 - 2 * xy

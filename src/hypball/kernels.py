@@ -21,6 +21,7 @@ from .specfun import (
     F_k,
     G_k,
     _as_order,
+    _block_end,
     _g0_pair,
     gegenbauer_at_one,
     gegenbauer_sequence,
@@ -135,16 +136,17 @@ def _fit_tail(majorants, base_ratio):
 def _series_table(name, dim, coefficient, base, scale, ctl):
     """Terms (k+rho)/rho * coefficient(k) up to the first k >= _MIN_TERMS - 1
     whose fitted tail bound is below ctl.tol * scale. The coefficients come
-    in blocks of k, but the cut is the one a term-by-term loop makes.
+    in the blocks of orders of _block_end, but the cut is the one a
+    term-by-term loop makes.
     Raises SeriesTruncationError, with the bound over scale, when k_max is
     reached first."""
     target = ctl.tol * scale
     coeffs, majorants = [], []
     c_at_1 = 1.0
     bound = math.inf
-    k0, size = 0, 64  # each block of orders is twice as long as the last
+    k0 = 0
     while k0 <= ctl.k_max:
-        ks = np.arange(k0, min(k0 + size, ctl.k_max + 1))
+        ks = np.arange(k0, min(_block_end(k0), ctl.k_max) + 1)
         block = (ks + dim.rho) / dim.rho * coefficient(ks)
         for k, a in zip(ks.tolist(), block.tolist()):
             if k > 0:
@@ -155,7 +157,7 @@ def _series_table(name, dim, coefficient, base, scale, ctl):
                 bound = _fit_tail(majorants, base)
                 if bound < target:
                     return np.array(coeffs)
-        k0, size = k0 + size, 2 * size
+        k0 = int(ks[-1]) + 1
     raise SeriesTruncationError(
         f"{name} series tail bound {bound / scale:.3e} exceeds tol "
         f"{ctl.tol:.3e} at k_max={ctl.k_max}",
@@ -163,10 +165,11 @@ def _series_table(name, dim, coefficient, base, scale, ctl):
     )
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=64)
 def _poisson_table(D, ax, ctl):
     """Coefficients a_k = (k+rho)/rho * poisson_coefficient(k) up to the
-    truncation point, cached per (domain, |x|, control)."""
+    truncation point, cached per (domain, |x|, control). Both table caches
+    keep 64: a CLI command revisits a few tables, a new |x| none."""
     return _series_table(
         "poisson", D.dim, lambda ks: poisson_coefficient(D, ks, ax), ax / D.r,
         sphere_area(D.dim, D.r), ctl,
@@ -195,7 +198,7 @@ def poisson_kernel(D, x, y, ctl=SeriesControl()):
     ys, single = as_rows(y)
     r = D.r
     ax = x.norm
-    if ax >= r:
+    if not ax < r:
         raise ValueError("x must lie inside the ball")
     if not all(abs(ny - r) <= 1e-12 for ny in row_norms(ys)):
         raise ValueError("y must lie on the sphere |y| = r")
@@ -251,7 +254,7 @@ def green_coefficient(D, k, ax, R):
     return free - _image_coefficient(D, k, ax, R)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=64)
 def _image_table(D, ax, ay, ctl):
     """Terms (k+rho)/rho * _image_coefficient(k, ax, ay) up to truncation;
     their ratio tends to s = ax ay / r^2 < 1."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# tolerance used for the non-terminating series behind F_k
+# tolerance of the non-terminating series behind _f_pair (odd n)
 _SERIES_TOL = 1e-15
 
 
@@ -79,46 +79,17 @@ def _hyp_series(alpha, beta, gamma, z, tol):
     return total, dtotal
 
 
-def _hyp_sweep(alpha, beta, gamma, z, tol):
-    """Value of _hyp_series for 1-d parameter arrays at one z.
-
-    Element j does the float operations of the scalar loop for (alpha[j],
-    beta[j], gamma[j]) in the same order, and its value is taken where that
-    loop would stop, so the result matches it bit for bit."""
-    params = (np.asarray(p, dtype=float) for p in (alpha, beta, gamma))
-    a, b, g = np.broadcast_arrays(*params)
-    stop = _series_stop(a, b, g)
-    out = np.ones(a.shape)
-    live = np.arange(a.size)
+def _hyp_sweep(alpha, beta, gamma, z):
+    """Value of _hyp_series for 1-d arrays of terminating parameters at one
+    z. Element j does the float operations of the scalar loop in the same
+    order; past its stop its terms are exactly zero, so its sum is the one
+    that loop returns, bit for bit."""
+    a, b, g = np.broadcast_arrays(alpha, beta, gamma)
     term = total = np.ones(a.shape)
-    left = a.size
-    i = 0
-    # elements past their stop run on until the arrays are compacted; their
-    # values are unused, so their overflows and divisions by zero are too
-    # (a live element overflows to inf silently, as a Python float does)
-    with np.errstate(all="ignore"):
-        while left:
-            ended = stop == i
-            if ended.any():
-                out[live[ended]] = total[ended]
-                left -= np.count_nonzero(ended)
-                if 2 * left <= live.size:
-                    keep = (stop < 0) | (stop > i)
-                    live, a, b, g, stop, term, total = (
-                        v[keep] for v in (live, a, b, g, stop, term, total)
-                    )
-            term = term * (a + i) * (b + i) * z / ((g + i) * (1 + i))
-            i += 1
-            total = total + term
-            # the stop test needs |term| < tol, as its tail factor is >= 1
-            if (stop < 0).any() and (np.abs(term) < tol).any():
-                ratio = np.abs((a + i) * (b + i) * z / ((g + i) * (1 + i)))
-                q = np.maximum(abs(z), ratio)
-                done = (stop < 0) & (q < 1) & (np.abs(term) * (1 + q / (1 - q)) < tol)
-                stop = np.where(done, i, stop)
-            if i > 100000 and (stop < 0).any():
-                raise RuntimeError("hypergeometric series did not converge")
-    return out
+    for i in range(_series_stop(a, b, g).max(initial=0)):
+        term = term * (a + i) * (b + i) * z / ((g + i) * (1 + i))
+        total = total + term
+    return total
 
 
 def _as_order(k):
@@ -138,19 +109,50 @@ def _f_pair(dim, k, z):
     return _hyp_series(*_f_params(dim, k), z, _SERIES_TOL)
 
 
-def F_k(dim, k, z):
-    """Bounded radial solution F_k(z) = F(k, -rho; k + n/2; z).
+def _block_end(k):
+    """Last order of the block of orders holding order k (or each of an int
+    array k): the blocks are 0..63 and then each twice as long as the last,
+    so 63, 191, 447, 959, 1983, ... (frexp's exponent is the bit length)."""
+    return 64 * (2 ** np.frexp(k // 64 + 1)[1] - 1) - 1
 
-    Terminates after rho+1 terms for even n; for odd n the series is summed
-    to tolerance. F_k(0) = 1 for every k. An integer array k gives the
-    array of F_k(z), equal bit for bit to the scalar values.
+
+def _f_recurrence(dim, top, z):
+    """[F_0(z), ..., F_top(z)] for odd n and 0 < z < 1; see F_k."""
+    start = top + math.ceil(math.log(1e-17) / math.log(z)) + 2
+    ks = np.arange(1, start + 1)
+    a = ks * (ks + dim.n - 1) / ((ks + dim.n / 2 - 1) * (ks + dim.n / 2))
+    f, f_next, backward = 1.0, 0.0, [1.0]
+    for ak in reversed(a.tolist()):
+        f, f_next = f + z * (f - ak * f_next), f
+        backward.append(f)
+    values = np.array(backward[::-1][: top + 1])
+    return values / values[0]
+
+
+def F_k(dim, k, z):
+    """Bounded radial solution F_k(z) = F(k, -rho; k + n/2; z), F_k(0) = 1.
+
+    For even n the series terminates after rho+1 terms. For odd n, F_k is
+    the minimal solution (characteristic roots 1 and 1/z) of the recurrence
+    F_(k-1) = F_k + z (F_k - a_k F_(k+1)), a_k = k(k+n-1)/((k+n/2-1)(k+n/2))
+    (DLMF 15.5(ii)), run backwards from F_(N+1) = 0, F_N = 1 and normalised
+    by F_0 = 1 (Miller's algorithm). N is ln(1e-17)/ln z orders past the end
+    of the block of orders holding k (_block_end), so the start's error is
+    below 1e-17 and a value depends only on (n, k, z): an integer array k
+    gives the array of F_k(z), equal bit for bit to the scalar values.
     """
     k = _as_order(k)
     if not 0 <= z < 1:
         raise ValueError("F_k needs z in [0, 1)")
-    if np.ndim(k):
-        return _hyp_sweep(*_f_params(dim, k), z, _SERIES_TOL)
-    return _f_pair(dim, k, z)[0]
+    if dim.is_even:
+        return _hyp_sweep(*_f_params(dim, k), z) if np.ndim(k) else _f_pair(dim, k, z)[0]
+    ks = np.atleast_1d(k)
+    out = np.ones(ks.shape)  # F_k(0) = 1
+    ends = _block_end(ks)
+    for top in set(ends.tolist()) if z > 0 else ():
+        here = ends == top
+        out[here] = _f_recurrence(dim, top, z)[ks[here]]
+    return out if np.ndim(k) else float(out[0])
 
 
 # G_0 is the finite sum below this z and the series in 1 - z above it; on

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hypball.cli import RunConfig, parse_config, run
+import hypball
+from hypball.cli import RunConfig, main, parse_config, run
 from hypball.geometry import BallDomain, unit_sphere_area
 from hypball.kernels import poisson_coefficient
 from hypball.specfun import Dimension
@@ -95,6 +100,24 @@ def test_pk_eval_rows_integrate_to_one(tmp_path):
         * float(np.sum(val * np.sin(theta) ** 2))
     )
     assert mass == pytest.approx(1.0, abs=1e-9)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # `python -m hypball` must run cli.main and write what it writes
+    out = tmp_path / "c.csv"
+    argv = ["coeffs", "--n", "4", "--r", "0.6", "--x", "0.3", "--kmax", "10",
+            "--output", str(out)]
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    expected = out.read_bytes()
+    out.unlink()
+    src = str(Path(hypball.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "hypball", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == expected
 
 
 def test_json_document_structure(tmp_path):

@@ -391,6 +391,31 @@ def test_green_closed_singularity_guard():
         green_closed_n6(ball(6), x6, x6)
 
 
+@pytest.mark.parametrize(
+    "fn, n, radius, match",
+    [
+        (poisson_integral, 4, 0.6, "sphere"),
+        (poisson_integral, 6, 0.6, "sphere"),
+        (green_closed_n4, 4, 0.4, "inside the ball"),
+        (green_closed_n6, 6, 0.4, "inside the ball"),
+    ],
+)
+def test_nan_rows_and_points_are_rejected(fn, n, radius, match):
+    # NaN fails every comparison, so each check must be one NaN cannot pass;
+    # otherwise the row reaches the quadrature and fails there, or reads
+    # as x = y
+    D = ball(n)
+    x = Point([0.3] + [0.0] * (n - 1))
+    ys = plane_points(n, radius, [0.5, 1.5])
+    ys[1, 0] = math.nan
+    with pytest.raises(ValueError, match=match):
+        fn(D, x, ys)
+    # a Point validates its coordinates when built; these are set after
+    x.coords[0] = math.nan
+    with pytest.raises(ValueError, match="inside the ball"):
+        fn(D, x, ys[:1])
+
+
 def test_conjecture1_residual_n4_vanishes():
     dim = Dimension(4)
     for k in (1, 2, 7, 25, 50):

@@ -4,6 +4,7 @@ import mp_reference
 import numpy as np
 import pytest
 
+from hypball import kernels
 from hypball.closedform import green_closed_n4, green_closed_n6
 from hypball.geometry import BallDomain, Point, sphere_area
 from hypball.kernels import (
@@ -32,6 +33,29 @@ def on_sphere(r, theta, n):
     c[0] = r * math.cos(theta)
     c[1] = r * math.sin(theta)
     return Point(c * (1 - 1e-15))
+
+
+def test_cold_odd_tables_call_the_traced_F_k(monkeypatch):
+    # the benchmark's tracer counts F_k calls through the name bound in
+    # kernels; a table that reached F_k another way would read 0 calls
+    seen = []
+    real = kernels.F_k
+
+    def counting(dim, k, z):
+        seen.append(z)
+        return real(dim, k, z)
+
+    monkeypatch.setattr(kernels, "F_k", counting)
+    _poisson_table.cache_clear()
+    _image_table.cache_clear()
+    D = ball(5, 0.95)
+    x = Point([0.437, 0, 0, 0, 0])
+    poisson_kernel(D, x, on_sphere(0.95, 1.0, 5))
+    assert x.norm**2 in seen and 0.95**2 in seen
+    seen.clear()
+    y = Point([0, 0.611, 0, 0, 0])
+    green_function(D, x, y)
+    assert x.norm**2 in seen and y.norm**2 in seen
 
 
 def test_series_control_validation():

@@ -182,6 +182,21 @@ def test_radial_layer_against_mpmath(n, z, g_rel):
             assert abs((g - g_ref) / g_ref) < g_rel
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_odd_recurrence_at_block_edges(n):
+    # odd-n F_k starts its backward recurrence past the end of k's block of
+    # orders (63, 191, 447, 959, 1983, ...): both sides of every edge, for z
+    # from near 0 to near 1, against mpmath and scalar against array
+    dim = Dimension(n)
+    ks = [0, 1, 63, 64, 191, 192, 447, 448, 959, 960, 1983, 1984, 2000]
+    with mp.workdps(40):
+        for z in (1e-4, 0.25, 0.9025, 0.98, 0.995):
+            for k, f in zip(ks, F_k(dim, np.array(ks), z)):
+                assert F_k(dim, k, z) == f
+                ref = mp_reference.f_value(n, k, z)
+                assert abs((f - ref) / ref) < 1e-12
+
+
 @given(st.floats(0.25, 3.0), st.integers(0, 40), st.floats(-1.0, 1.0))
 @settings(max_examples=80)
 def test_gegenbauer_against_scipy(v, k, x):
