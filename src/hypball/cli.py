@@ -96,8 +96,8 @@ class RunConfig:
             raise ValueError("theta-grid must be >= 1")
         if self.k_max < 1:
             raise ValueError("kmax must be >= 1")
-        if self.series_tol <= 0 or self.quad_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.series_tol < math.inf and 0 < self.quad_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.suite not in _SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.which not in ("1", "2", "both"):

@@ -37,8 +37,8 @@ class QuadratureControl:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
+        if not 0 < self.abs_tol < math.inf:
+            raise ValueError("abs_tol must be positive and finite")
 
 
 _GAUSS = [np.polynomial.legendre.leggauss(m) for m in (10, 21)]
@@ -306,7 +306,7 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
     ax = x.norm
     if not ax < r:
         raise ValueError("x must lie inside the ball")
-    ys, single = as_rows(y)
+    ys, single = as_rows(n, x, y)
     if not np.all(np.abs(np.linalg.norm(ys, axis=1) - r) <= 1e-12):
         raise ValueError("y must lie on the sphere |y| = r")
     x2 = ax**2
@@ -343,7 +343,7 @@ def _green_args(D, n, x, y):
     r^2, K0), with Y, x.y, d^2 and K0 one entry per point y."""
     if D.dim.n != n:
         raise ValueError(f"needs n = {n}")
-    ys, single = as_rows(y)
+    ys, single = as_rows(n, x, y)
     r2 = D.r**2
     x2 = x.norm**2
     y2 = np.linalg.norm(ys, axis=1) ** 2

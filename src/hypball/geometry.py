@@ -64,14 +64,17 @@ def hyperbolic_distance(x, y):
     return 0.5 * math.acosh(arg)
 
 
-def as_rows(y):
-    """y as an (m, n) coordinate array, and whether it was a single Point."""
-    if isinstance(y, Point):
-        return y.coords[None, :], True
-    ys = np.asarray(y, dtype=float)
+def as_rows(n, x, y):
+    """y as an (m, n) coordinate array, and whether it was a single Point;
+    raises ValueError unless the Point x and every row of y have n
+    coordinates."""
+    single = isinstance(y, Point)
+    ys = y.coords[None, :] if single else np.asarray(y, dtype=float)
     if ys.ndim != 2:
         raise ValueError("y must be a Point or an (m, n) array of points")
-    return ys, False
+    if not x.coords.size == ys.shape[1] == n:
+        raise ValueError(f"points must have {n} coordinates")
+    return ys, single
 
 
 def row_norms(ys):
@@ -83,7 +86,7 @@ def cos_angle(x, y):
     """cos of the angle at the origin between x and y, clamped to [-1, 1]
     so downstream Gegenbauer arguments stay in range. y is a Point (a float
     back) or an (m, n) array (an array back), one dot per row as for a Point."""
-    ys, single = as_rows(y)
+    ys, single = as_rows(x.coords.size, x, y)
     nx, nys = x.norm, row_norms(ys)
     if nx == 0 or 0.0 in nys:
         raise ValueError("angle at the origin undefined for the zero vector")

@@ -56,8 +56,8 @@ class SeriesControl:
     def __post_init__(self):
         if not self.k_max >= _MIN_TERMS:
             raise ValueError(f"need k_max >= {_MIN_TERMS}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def poisson_kernel(D, x, y, ctl=SeriesControl()):
     a float) or an (m, n) array of points on the sphere (returns shape
     (m,)); all of them share the one table of |x|.
     """
-    ys, single = as_rows(y)
+    ys, single = as_rows(D.dim.n, x, y)
     r = D.r
     ax = x.norm
     if not ax < r:
@@ -278,7 +278,7 @@ def green_function(D, x, y, ctl=SeriesControl()):
     y is a Point (returns a float) or an (m, n) array of points (returns
     shape (m,)), with one image table per distinct |y|.
     """
-    ys, single = as_rows(y)
+    ys, single = as_rows(D.dim.n, x, y)
     ax, ays = x.norm, row_norms(ys)
     if not (ax < D.r and all(ay < D.r for ay in ays)):
         raise ValueError("both points must lie inside the ball")

@@ -48,8 +48,8 @@ class SdeConfig:
     exit_mode: str = "bridge"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.n_paths < 1 or self.max_steps < 1:
             raise ValueError("n_paths and max_steps must be >= 1")
         if not 0 < self.r_floor < 1:

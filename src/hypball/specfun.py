@@ -1,15 +1,14 @@
-"""Special-function substrate: the hypergeometric series, the radial
-solutions F_k (bounded at 0) and G_k (vanishing at z = 1) of the hyperbolic
-Laplacian on the ball, Gegenbauer polynomials, and the Wronskian-type
-identity that ties F_k and G_k together."""
+"""Special-function substrate: the radial solutions F_k (bounded at 0) and
+G_k (vanishing at z = 1) of the hyperbolic Laplacian on the ball, their
+derivatives, Gegenbauer polynomials, and the Wronskian-type identity that
+ties F_k and G_k together. The one hypergeometric summation kernel is
+_hyp_sweep, the terminating series behind even-n F_k and F_k'; odd-n F_k
+comes from a backward recurrence in k, and odd-n F_k' from F_k and F_(k+1)."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# tolerance of the non-terminating series behind _f_pair (odd n)
-_SERIES_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -33,61 +32,14 @@ class Dimension:
         return self.n % 2 == 0
 
 
-def _nonpos_int(x):
-    return (x <= 0) & (x == np.round(x))
-
-
-def _series_stop(alpha, beta, gamma):
-    """Truncation index for the hypergeometric series, elementwise over
-    parameter arrays; -1 where the series does not terminate."""
-    if np.any(_nonpos_int(gamma)):
-        raise ValueError("gamma must not be a non-positive integer")
-    na, nb = _nonpos_int(alpha), _nonpos_int(beta)
-    return np.rint(np.where(na, -alpha, np.where(nb, -beta, -1))).astype(int)
-
-
-def _hyp_series(alpha, beta, gamma, z, tol):
-    """Forward hypergeometric sum; returns (value, d/dz value).
-
-    Terminating cases are summed exactly. Otherwise terms are added until
-    the current term plus a geometric tail bound (the term ratio approaches
-    z) drops below tol.
-    """
-    stop = int(_series_stop(alpha, beta, gamma))
-    total = 1.0
-    dtotal = 0.0
-    term = 1.0
-    i = 0
-    while True:
-        if 0 <= stop <= i:
-            break
-        denom = (gamma + i) * (1 + i)
-        term = term * (alpha + i) * (beta + i) * z / denom
-        i += 1
-        total += term
-        if z != 0.0:
-            dtotal += i * term / z
-        elif i == 1:
-            dtotal += alpha * beta / gamma
-        if stop < 0:
-            ratio = abs((alpha + i) * (beta + i) * z / ((gamma + i) * (1 + i)))
-            q = max(abs(z), ratio)
-            if q < 1 and abs(term) * (1 + q / (1 - q)) < tol:
-                break
-            if i > 100000:
-                raise RuntimeError("hypergeometric series did not converge")
-    return total, dtotal
-
-
-def _hyp_sweep(alpha, beta, gamma, z):
-    """Value of _hyp_series for 1-d arrays of terminating parameters at one
-    z. Element j does the float operations of the scalar loop in the same
-    order; past its stop its terms are exactly zero, so its sum is the one
-    that loop returns, bit for bit."""
-    a, b, g = np.broadcast_arrays(alpha, beta, gamma)
-    term = total = np.ones(a.shape)
-    for i in range(_series_stop(a, b, g).max(initial=0)):
-        term = term * (a + i) * (b + i) * z / ((g + i) * (1 + i))
+def _hyp_sweep(a, b, c, z):
+    """F(a, b; c; z) for a non-positive integer b, elementwise over arrays a
+    and c: the terminating series, summed in -b steps. A scalar a and c take
+    the float operations of one array element, so scalar and array values
+    agree bit for bit."""
+    term = total = np.ones(np.broadcast(a, c).shape)
+    for i in range(round(-b)):
+        term = term * (a + i) * (b + i) * z / ((c + i) * (1 + i))
         total = total + term
     return total
 
@@ -100,13 +52,17 @@ def _as_order(k):
     return ka.astype(int) if ka.ndim else int(ka)
 
 
-def _f_params(dim, k):
-    return k, -dim.rho, k + dim.n / 2
-
-
 def _f_pair(dim, k, z):
-    """(F_k(z), F_k'(z)) via the termwise-differentiated series."""
-    return _hyp_series(*_f_params(dim, k), z, _SERIES_TOL)
+    """(F_k(z), F_k'(z)) as Python floats, from the radial layer itself: for
+    even n, F_k' = -k rho/(k+n/2) F(k+1, 1-rho; k+1+n/2; z) (DLMF 15.5.1),
+    another terminating sweep; for odd n, the contiguous relation
+    (1-z) F_k' = k F_k - k(k+n-1)/(k+n/2) F_(k+1) on one array F_k call."""
+    half = dim.n / 2
+    if dim.is_even:
+        f1 = _hyp_sweep(k + 1, 1 - dim.rho, k + 1 + half, z)
+        return F_k(dim, k, z), float(-k * dim.rho / (k + half) * f1)
+    f, f_next = F_k(dim, np.array([k, k + 1]), z).tolist()
+    return f, (k * f - k * (k + dim.n - 1) / (k + half) * f_next) / (1 - z)
 
 
 def _block_end(k):
@@ -145,7 +101,8 @@ def F_k(dim, k, z):
     if not 0 <= z < 1:
         raise ValueError("F_k needs z in [0, 1)")
     if dim.is_even:
-        return _hyp_sweep(*_f_params(dim, k), z) if np.ndim(k) else _f_pair(dim, k, z)[0]
+        f = _hyp_sweep(k, -dim.rho, k + dim.n / 2, z)
+        return f if np.ndim(k) else float(f)
     ks = np.atleast_1d(k)
     out = np.ones(ks.shape)  # F_k(0) = 1
     ends = _block_end(ks)
@@ -293,9 +250,9 @@ def wronskian_residual(dim, k, z):
 
         (k+rho) F_k G_k + z F_k' G_k - z F_k G_k' = (k+rho)(1-z)^(n-2),
 
-    with F_k' from the termwise-differentiated series and G_k' from
-    _g_pair; should vanish to roundoff for all admissible (n, k, z). k is a
-    non-negative integer."""
+    with F_k' from _f_pair (a second terminating sweep for even n, F_k and
+    F_(k+1) for odd n) and G_k' from _g_pair; should vanish to roundoff for
+    all admissible (n, k, z). k is a non-negative integer."""
     k = _as_order(k)
     if not 0 < z < 1:
         raise ValueError("needs z in (0, 1)")

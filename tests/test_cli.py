@@ -65,6 +65,13 @@ def test_runconfig_validation():
     assert [d.n for d in dims] == [3, 4, 5]
     with pytest.raises(ValueError, match="single n"):
         RunConfig(command="coeffs", n="3..5").dim()
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerances"):
+            RunConfig(command="pk-eval", series_tol=bad)
+        with pytest.raises(ValueError, match="tolerances"):
+            RunConfig(command="pk-closed", quad_tol=bad)
+        with pytest.raises(ValueError, match="dt"):
+            RunConfig(command="mc-validate", dt=bad)
 
 
 def test_outdir_env_names_default_output(tmp_path, monkeypatch):
@@ -177,6 +184,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert rec == {"error": "ValueError", "status": 2,
                    "message": "green-closed needs n in {4, 6}"}
     assert not out.exists()
+    # NaN fails every comparison, so a "<= 0" check lets it through to the
+    # computation, which then fails with status 3
+    for argv in (["pk-eval", "--n", "4", "--series-tol", "nan"],
+                 ["pk-closed", "--quad-tol", "nan"],
+                 ["mc-validate", "--dt", "nan"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--output", str(out)])
+        assert exit_.value.code == 2
+        assert json.loads(capsys.readouterr().err)["status"] == 2
+        assert not out.exists()
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):

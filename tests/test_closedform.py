@@ -39,8 +39,9 @@ def on_sphere(r, theta, n):
 
 
 def test_quadrature_control_validation():
-    with pytest.raises(ValueError):
-        QuadratureControl(abs_tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            QuadratureControl(abs_tol=tol)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
@@ -414,6 +415,20 @@ def test_nan_rows_and_points_are_rejected(fn, n, radius, match):
     x.coords[0] = math.nan
     with pytest.raises(ValueError, match="inside the ball"):
         fn(D, x, ys[:1])
+
+
+@pytest.mark.parametrize(
+    "fn", [poisson_kernel, green_function, poisson_integral, green_closed_n4]
+)
+def test_points_of_another_dimension_are_rejected(fn):
+    # a 3-vector in a 4-ball is a usage error, not a point whose missing
+    # coordinate reads as 0; x and y are checked alike
+    D = ball(4)
+    x4, x3 = Point([0.3, 0, 0, 0]), Point([0.3, 0, 0])
+    y4, y3 = on_sphere(0.6, 1.0, 4), on_sphere(0.6, 1.0, 3)
+    for x, y in ((x4, y3), (x3, y3), (x3, y4), (x4, y3.coords[None, :])):
+        with pytest.raises(ValueError, match="4 coordinates"):
+            fn(D, x, y)
 
 
 def test_conjecture1_residual_n4_vanishes():

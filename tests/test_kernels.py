@@ -62,8 +62,9 @@ def test_series_control_validation():
     with pytest.raises(ValueError):
         SeriesControl(k_max=5)
     SeriesControl(k_max=10)
-    with pytest.raises(ValueError):
-        SeriesControl(tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SeriesControl(tol=tol)
 
 
 def test_poisson_coefficient_oracle():

@@ -24,8 +24,9 @@ X0 = Point((0.3, 0.0, 0.0, 0.0))
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="dt"):
-        SdeConfig(dt=0.0, n_paths=10, seed=1)
+    for dt in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt"):
+            SdeConfig(dt=dt, n_paths=10, seed=1)
     with pytest.raises(ValueError, match="n_paths"):
         SdeConfig(dt=1e-3, n_paths=0, seed=1)
     with pytest.raises(ValueError, match="n_paths"):

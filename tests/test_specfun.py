@@ -12,7 +12,7 @@ from hypball.specfun import (
     Dimension,
     F_k,
     G_k,
-    _hyp_series,
+    _f_pair,
     gegenbauer,
     gegenbauer_at_one,
     gegenbauer_sequence,
@@ -30,41 +30,7 @@ def test_dimension_validation():
     assert not Dimension(7).is_even
 
 
-def test_hyp_params_validation():
-    # a non-positive integer gamma is rejected, even where alpha = -l with
-    # l <= -gamma would stop the series before gamma + i reaches 0
-    for alpha in (0.5, -3.0, -1.0):
-        with pytest.raises(ValueError):
-            _hyp_series(alpha, -4.0, -2.0, 0.3, 1e-15)
-
-
-# hand-expanded terminating series, fixed before the implementation;
-# params = (alpha, beta, gamma, z)
-@pytest.mark.parametrize(
-    "params, value",
-    [
-        ((1.0, -1.0, 3.0, 0.36), 0.88),
-        ((3.0, -1.0, 5.0, 0.5), 0.7),
-        ((2.0, -2.0, 5.0, 0.25), 0.8125),
-    ],
-)
-def test_truncated_series_oracles(params, value):
-    assert _hyp_series(*params, 1e-15)[0] == pytest.approx(value, abs=1e-15)
-
-
-@given(
-    st.floats(0.1, 3.0),
-    st.floats(-2.9, 3.0),
-    st.floats(1.0, 4.0),
-    st.floats(-0.9, 0.9),
-)
-@settings(max_examples=60)
-def test_hyp2f1_against_scipy(alpha, beta, gamma, z):
-    ours = _hyp_series(alpha, beta, gamma, z, 1e-15)[0]
-    ref = sps.hyp2f1(alpha, beta, gamma, z)
-    assert ours == pytest.approx(ref, rel=1e-10, abs=1e-12)
-
-
+# hand-expanded terminating series, fixed before the implementation
 @pytest.mark.parametrize(
     "n, k, z, value",
     [
@@ -180,6 +146,21 @@ def test_radial_layer_against_mpmath(n, z, g_rel):
             g_ref = mp_reference.g_value(n, k, z)
             assert abs((f - f_ref) / f_ref) < 1e-12
             assert abs((g - g_ref) / g_ref) < g_rel
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
+def test_f_derivative_against_mpmath(n):
+    # F_k' behind wronskian_residual: a second terminating sweep for even n,
+    # F_k and F_(k+1) through the contiguous relation for odd n; large k and
+    # z -> 1 included
+    dim = Dimension(n)
+    with mp.workdps(40):
+        for k in (1, 2, 17, 30, 64, 200, 1000, 2000):
+            for z in (0.05, 0.5, 0.9, 0.98, 0.995):
+                f, df = _f_pair(dim, k, z)
+                assert type(f) is float and type(df) is float
+                ref = mp_reference.f_derivative(n, k, z)
+                assert abs((df - ref) / ref) < 1e-11
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
