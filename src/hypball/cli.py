@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,17 +41,6 @@ from .kernels import (
 from .mc_sim import SdeConfig, exit_coefficients, simulate_cartesian, simulate_polar
 from .specfun import Dimension, wronskian_residual
 
-_COMMANDS = (
-    "pk-eval",
-    "green-eval",
-    "coeffs",
-    "pk-closed",
-    "green-closed",
-    "mc-validate",
-    "identity-check",
-    "conjecture-scan",
-)
-_SUITES = ("wronskian", "normalization", "laplace", "green")
 _OUTDIR_ENV = "HYPBALL_OUTDIR"
 
 # per-command k_max when neither flags nor config file give one
@@ -83,7 +72,7 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
+        if self.command not in _HANDLERS:
             raise ValueError(f"unknown command {self.command!r}")
         self.dims()
         if not 0 < self.r < 1:
@@ -321,14 +310,16 @@ def _suite_green(cfg):
     return ("n", "check", "value", "reference", "pass"), rows
 
 
+_SUITES = {
+    "wronskian": _suite_wronskian,
+    "normalization": _suite_normalization,
+    "laplace": _suite_laplace,
+    "green": _suite_green,
+}
+
+
 def _cmd_identity_check(cfg):
-    suites = {
-        "wronskian": _suite_wronskian,
-        "normalization": _suite_normalization,
-        "laplace": _suite_laplace,
-        "green": _suite_green,
-    }
-    columns, rows = suites[cfg.suite](cfg)
+    columns, rows = _SUITES[cfg.suite](cfg)
     ok = all(row[-1] for row in rows)
     return columns, rows, {"pass": ok, "suite": cfg.suite}
 
@@ -428,36 +419,46 @@ def _write_json(path, cfg, columns, rows, meta):
         f.write("\n")
 
 
+# flag and config-file spellings that are not the field name
+_ALIASES = {"kmax": "k_max", "paths": "n_paths"}
+_FLAGS = {field: alias for alias, field in _ALIASES.items()}
+_HELP = {
+    "n": "dimension, or a range like 3..8",
+    "r": "ball radius in (0, 1)",
+    "x": "|x| of the axis start point",
+    "y": "|y| radius for green tables",
+    "theta_grid": "number of angle rows",
+    "k_max": "series cutoff / table length",
+    "dt": "SDE step size",
+    "scheme": "cartesian or polar",
+    "exit_mode": "bridge or grid",
+    "suite": "identity-check suite: " + ", ".join(_SUITES),
+    "which": "conjecture selector: 1, 2 or both",
+    "output": "output file path",
+    "format": "csv or json",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    # usage errors leave with the JSON error record and status 2, like
+    # every other invalid value
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    """One flag per RunConfig field but command, typed by the field."""
+    p = _Parser(
         prog="hypball",
         description="Poisson kernels and Green functions of balls for "
         "hyperbolic Brownian motion: tables, identity suites, Monte Carlo "
         "validation.",
     )
-    p.add_argument("command", nargs="?", choices=_COMMANDS)
+    p.add_argument("command", nargs="?", help=", ".join(_HANDLERS))
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--n", help="dimension, or a range like 3..8")
-    p.add_argument("--r", type=float, help="ball radius in (0, 1)")
-    p.add_argument("--x", type=float, help="|x| of the axis start point")
-    p.add_argument("--y", type=float, help="|y| radius for green tables")
-    p.add_argument("--theta-grid", type=int, dest="theta_grid",
-                   help="number of angle rows")
-    p.add_argument("--kmax", type=int, dest="k_max",
-                   help="series cutoff / table length")
-    p.add_argument("--series-tol", type=float, dest="series_tol")
-    p.add_argument("--quad-tol", type=float, dest="quad_tol")
-    p.add_argument("--dt", type=float, help="SDE step size")
-    p.add_argument("--paths", type=int, dest="n_paths")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-steps", type=int, dest="max_steps")
-    p.add_argument("--scheme", choices=("cartesian", "polar"))
-    p.add_argument("--exit-mode", choices=("bridge", "grid"), dest="exit_mode")
-    p.add_argument("--suite", choices=_SUITES)
-    p.add_argument("--which", choices=("1", "2", "both"),
-                   help="conjecture selector")
-    p.add_argument("--output", help="output file path")
-    p.add_argument("--format", choices=("csv", "json"))
+    for f in fields(RunConfig)[1:]:
+        flag = _FLAGS.get(f.name, f.name.replace("_", "-"))
+        p.add_argument(f"--{flag}", type=f.type, dest=f.name, help=_HELP.get(f.name))
     return p
 
 
@@ -476,7 +477,6 @@ def _read_config_file(path):
 
 
 _FILE_CONVERTERS = {f.name: f.type for f in fields(RunConfig)}
-_FILE_ALIASES = {"kmax": "k_max", "paths": "n_paths"}
 
 
 def parse_config(argv):
@@ -485,7 +485,7 @@ def parse_config(argv):
     merged = {}
     if ns.config:
         for key, raw in _read_config_file(ns.config).items():
-            name = _FILE_ALIASES.get(key, key)
+            name = _ALIASES.get(key, key)
             if name not in _FILE_CONVERTERS:
                 raise ValueError(f"unknown config key {key!r}")
             merged[name] = _FILE_CONVERTERS[name](raw)
@@ -495,20 +495,14 @@ def parse_config(argv):
             merged[f.name] = flag
     if "command" not in merged or merged["command"] is None:
         raise ValueError("no command given (flag or config file)")
-    if merged["command"] not in _COMMANDS:
-        raise ValueError(f"unknown command {merged['command']!r}")
     if "k_max" not in merged and merged["command"] in _KMAX_DEFAULT:
         merged["k_max"] = _KMAX_DEFAULT[merged["command"]]
     cfg = RunConfig(**merged)
     if cfg.output is None:
         outdir = os.environ.get(_OUTDIR_ENV, ".")
         name = cfg.command.replace("-", "_") + "." + cfg.format
-        cfg = RunConfig(**{**_as_dict(cfg), "output": os.path.join(outdir, name)})
+        cfg = replace(cfg, output=os.path.join(outdir, name))
     return cfg
-
-
-def _as_dict(cfg):
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 def _error_record(status, exc):

@@ -10,14 +10,15 @@ complex-k half-plane).
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import as_rows
-from .specfun import Dimension, F_k
+from .specfun import F_k
 
-# dead band on r^4 - 14 r^2 + 1 inside which the critical-regime formula
-# is used; sinh(cv)/c with tiny c is numerically the critical limit anyway
+# |c^2| below which LaplaceWeight.regime reads "critical"; a label only,
+# the weight formula itself needs no band
 _CRITICAL_BAND = 1e-12
 
 
@@ -198,90 +199,83 @@ def H_function(dim, x2, r2, k):
 
 @dataclass(frozen=True)
 class LaplaceWeight:
-    """Inverse Laplace transform w(v) of H(k), in one of four shapes:
+    """Inverse Laplace transform w(v) of H(k), one formula for every n and r:
 
-    single-exponential (n=4):  amp1 exp(-b v)
-    cosh-sinh (n=6):           exp(-b v) (amp1 cosh(c v) + amp2 sinh(c v)/c)
-    critical (n=6, c=0):       exp(-b v) (amp1 + amp2 v)
-    oscillatory (n=6):         exp(-b v) (amp1 cos(c~ v) + amp2 sin(c~ v)/c~)
+        w(v) = exp(-b v) (amp1 cosh(c v) + amp2 sinh(c v)/c),  c = sqrt(c2),
 
-    b exceeds |Re c|, so w always decays; c_or_ctilde stores c (or c~).
-    Calls take a float or an array of v (broadcast against array amplitudes).
+    with c2 real and of either sign: imaginary c gives the cos/sin shape,
+    c = 0 the limit amp1 + amp2 v, and n=4 is c2 = amp2 = 0. The call
+    evaluates Re[exp((c-b) v) (amp1 (1 + m/2) - amp2 m/(2c))] with
+    m = expm1(-2cv), so nothing overflows at large v and a small c does
+    not cancel. b exceeds Re c, so w always decays. Calls take a float or
+    an array of v (broadcast against array amplitudes).
     """
 
-    dim: Dimension
-    x2: float
-    r2: float
-    regime: str
     b: float
-    c_or_ctilde: float
+    c2: float
     amp1: float
     amp2: float
 
+    @cached_property
+    def c(self):
+        return cmath.sqrt(self.c2)
+
     def __call__(self, v):
-        b = self.b
-        c = self.c_or_ctilde
-        if self.regime == "single-exponential":
-            return self.amp1 * np.exp(-b * v)
-        if self.regime == "cosh-sinh":
-            # combined exponentials: cosh/sinh against exp(-bv) overflow
-            # separately for large v even though the product decays
-            p = 0.5 * (self.amp1 + self.amp2 / c) * np.exp((c - b) * v)
-            q = 0.5 * (self.amp1 - self.amp2 / c) * np.exp(-(b + c) * v)
-            return p + q
-        if self.regime == "critical":
-            return (self.amp1 + self.amp2 * v) * np.exp(-b * v)
-        return (
-            self.amp1 * np.cos(c * v) + self.amp2 * np.sin(c * v) / c
-        ) * np.exp(-b * v)
+        c = self.c
+        decay = np.exp((c - self.b) * v)
+        m = np.expm1(-2 * c * v)  # (1 + exp(-2cv))/2 = 1 + m/2
+        cosh = (decay * (1 + m / 2)).real
+        # sinh(cv)/c has a removable singularity at c = 0, where it is v
+        sinh = (decay * (-m / (2 * c))).real if c else decay.real * v
+        return self.amp1 * cosh + self.amp2 * sinh
 
     @property
     def decay_rate(self):
         """Slowest exponential decay rate of w."""
-        if self.regime == "cosh-sinh":
-            return self.b - self.c_or_ctilde
-        return self.b
+        return self.b - self.c.real
+
+    @property
+    def regime(self):
+        """Label of the shape, read by reports only: single-exponential
+        (c2 = amp2 = 0), critical (|c2| < _CRITICAL_BAND), cosh-sinh
+        (c2 > 0) or oscillatory (c2 < 0)."""
+        if self.c2 == 0 and not np.any(self.amp2):
+            return "single-exponential"
+        if abs(self.c2) < _CRITICAL_BAND:
+            return "critical"
+        return "cosh-sinh" if self.c2 > 0 else "oscillatory"
+
+    @property
+    def c_or_ctilde(self):
+        """|c|: c for the cosh-sinh shape, c~ for the oscillatory one."""
+        return abs(self.c)
 
 
 def laplace_weight(dim, x2, r2):
     """Build w_{|x|^2, r^2} for n in {4, 6}.
 
-    n=4: amplitude 2(1+r^2)/(1-r^2), rate 2/(1-r^2). n=6: rate
-    b = (7-r^2)/(2(1-r^2)) with c = sqrt(r^4-14r^2+1)/(2(1-r^2)) switching
-    between real (cosh-sinh), zero (critical) and imaginary (oscillatory)
-    as r^2 crosses 7-4 sqrt(3); amplitudes
+    n=4: b = 2/(1-r^2), c2 = 0, amp1 = 2(1+r^2)/(1-r^2), amp2 = 0. n=6:
+    b = (7-r^2)/(2(1-r^2)) and c2 = (r^4-14r^2+1)/(2(1-r^2))^2, which
+    changes sign as r^2 crosses 7-4 sqrt(3); amplitudes
 
         amp1 = 3 (1 - r^2 x^2 + 3(r^2 - x^2))
         amp2 = (3/2) (1 + x^2 r^2 + 5(x^2 + r^2))
 
-    fixed by the residues of H at its two poles. Laplace-transforming back
-    reproduces H(k) (a tested identity).
+    fixed by the residues of H at its two poles -b +- c. Laplace-transforming
+    back reproduces H(k) (a tested identity).
     """
     if dim.n not in (4, 6):
         raise ValueError("weights are only available for n in {4, 6}")
     if not 0 <= x2 < r2 < 1:
         raise ValueError("needs 0 <= x2 < r2 < 1")
     if dim.n == 4:
-        return LaplaceWeight(
-            dim,
-            x2,
-            r2,
-            "single-exponential",
-            2 / (1 - r2),
-            0.0,
-            2 * (1 + r2) / (1 - r2),
-            0.0,
-        )
-    b = (7 - r2) / (2 * (1 - r2))
-    disc = r2 * r2 - 14 * r2 + 1
-    amp1 = 3 * (1 - r2 * x2 + 3 * (r2 - x2))
-    amp2 = 1.5 * (1 + x2 * r2 + 5 * (x2 + r2))
-    if abs(disc) < _CRITICAL_BAND:
-        return LaplaceWeight(dim, x2, r2, "critical", b, 0.0, amp1, amp2)
-    c = math.sqrt(abs(disc)) / (2 * (1 - r2))
-    if disc > 0:
-        return LaplaceWeight(dim, x2, r2, "cosh-sinh", b, c, amp1, amp2)
-    return LaplaceWeight(dim, x2, r2, "oscillatory", b, c, amp1, amp2)
+        return LaplaceWeight(2 / (1 - r2), 0.0, 2 * (1 + r2) / (1 - r2), 0.0)
+    return LaplaceWeight(
+        (7 - r2) / (2 * (1 - r2)),
+        (r2 * r2 - 14 * r2 + 1) / (2 * (1 - r2)) ** 2,
+        3 * (1 - r2 * x2 + 3 * (r2 - x2)),
+        1.5 * (1 + x2 * r2 + 5 * (x2 + r2)),
+    )
 
 
 def poisson_integral(D, x, y, qctl=QuadratureControl()):
@@ -293,10 +287,10 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
     for n in {4, 6}, with A = |x e^{-v/2} - y e^{v/2}|^2, h = A - |x-y|^2
     = |x|^2 (e^{-v} - 1) + |y|^2 (e^v - 1) and L = A^rho rho h -
     |x-y|^2 (A^rho - |x-y|^(2 rho)), which reduces to h^2 for n=4 and to
-    h^2 (2A + |x-y|^2) for n=6. The weight regime guarantees a positive
-    net decay exponent, checked before integrating. y is a Point (returns
-    a float) or an (m, n) array of boundary points (returns shape (m,),
-    one quadrature for all of them).
+    h^2 (2A + |x-y|^2) for n=6. The weight decays fast enough to leave a
+    positive net decay exponent, checked before integrating. y is a Point
+    (returns a float) or an (m, n) array of boundary points (returns shape
+    (m,), one quadrature for all of them).
     """
     dim = D.dim
     n = dim.n
@@ -315,7 +309,7 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
     d2 = x2 + r2 - 2 * xy
     w = laplace_weight(dim, x2, r2)
     if not w.decay_rate > dim.rho + 1:
-        raise RuntimeError("integrand does not decay; weight regime corrupt")
+        raise RuntimeError("integrand does not decay; weight corrupt")
     # with e = e^{-v}, g = e h = (r^2 - |x|^2 e)(1 - e) and a = e A =
     # |x e^{-v} - y|^2, L = e^{(rho+1)v} g^2 (1, or 2a + |x-y|^2 e for n=6);
     # that growth goes into the weight's rate, so nothing overflows
@@ -398,8 +392,9 @@ def _green6_weight(x2, y2, r2):
 
         W(v) = f1 e^{-bv} cosh(cv) + f2 e^{-bv} sinh(cv)/(2 (1-r^2) c),
 
-    with the critical/oscillatory analogues: the b, c regimes of
-    laplace_weight with amp1 = f1, amp2 = f2/(2 (1-r^2))."""
+    the LaplaceWeight with the b and c2 of laplace_weight at this r^2 and
+    amp1 = f1, amp2 = f2/(2 (1-r^2)), so one evaluator serves real,
+    zero and imaginary c."""
     f1 = (
         r2 * (1 + r2) / (1 - r2) * (1 - x2) * (1 - y2)
         + 2 * (1 - x2 * y2)
@@ -424,8 +419,8 @@ def green_closed_n6(D, x, y, qctl=QuadratureControl()):
 
     where X = |x|^2, Y = |y|^2, d = |x-y|, K(v) = X Y e^{-2v}
     - 2 r^2 e^{-v} (x.y) + r^4 (the symmetric Kelvin quadratic, K0 = K(0))
-    and W carries the same b, c regimes as the Poisson weight. y is a Point
-    or an (m, n) array, as in poisson_integral.
+    and W shares b and c2 with the Poisson weight. y is a Point or an
+    (m, n) array, as in poisson_integral.
     """
     single, x2, y2, xy, d2, r2, k0 = _green_args(D, 6, x, y)
     f1, f2 = _green6_weight(x2, y2, r2)

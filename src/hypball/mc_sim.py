@@ -113,6 +113,11 @@ def _block_sizes(n_paths):
     return sizes
 
 
+def _check_ball(dim, D):
+    if dim != D.dim:
+        raise ValueError(f"dimension n={dim.n} does not match the ball's n={D.dim.n}")
+
+
 def _rng(seed, stream, block):
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (stream << 48) | block],
                    dtype=np.uint64)
@@ -181,9 +186,12 @@ def simulate_cartesian(dim, x0, D, cfg):
     step ending outside, the conditional-mean fraction for a bridge
     exit). Censored paths (no exit within max_steps) are counted, not
     dropped."""
+    _check_ball(dim, D)
     n = dim.n
     r = D.r
     x0v = np.asarray(x0.coords, dtype=float)
+    if x0v.shape != (n,):
+        raise ValueError(f"x0 needs {n} coordinates, got {x0v.size}")
     ax0 = float(np.linalg.norm(x0v))
     if ax0 == 0.0:
         raise ValueError("x0 must be nonzero (it fixes the reference axis)")
@@ -431,6 +439,7 @@ def simulate_polar(dim, R0, D, cfg, phi0=1.0):
     by a weak second-order sphere step driven by the trapezoidal accrual
     of the rate (1-R)^2/R. The axial start Phi0 = 1 needs no special casing: the
     angular diffusion vanishes there and the drift points inward."""
+    _check_ball(dim, D)
     if not -1 <= phi0 <= 1:
         raise ValueError("phi0 must lie in [-1, 1]")
     r2 = D.r**2
@@ -451,6 +460,7 @@ def estimate_gauge(dim, k, R0, D, cfg):
     accrues the trapezoid of q between step endpoints along the
     geodesic-coordinate chain. Censored paths are excluded from the mean
     (and warned about beyond 0.1%)."""
+    _check_ball(dim, D)
     if not 0 < R0 < D.r**2:
         raise ValueError("needs R0 in (0, r^2)")
     q = Potential(k, dim)

@@ -1,6 +1,7 @@
 """High-precision mpmath references built from the definitions: the radial
-solutions F_k and G_k, and the Green function of the ball as the
-whole-space Green function minus its Kelvin-image series. Helpers for the
+solutions F_k and G_k, the Green function of the ball as the
+whole-space Green function minus its Kelvin-image series, and the inverse
+Laplace weight w(v) of the n = 4 and 6 closed forms. Helpers for the
 test modules; pytest collects no tests here."""
 
 import functools
@@ -88,3 +89,21 @@ def green(n, r, x, y, dps=30):
             k += 1
         cn = mp.gamma(half - 1) / (4 * mp.pi**half)
         return float(cn * (g_value(n, 0, z) / z**rho - mp.fsum(image)))
+
+
+def laplace_weight(n, x2, r2, v, dps=50):
+    """w(v) for n in {4, 6}, the float inputs taken exactly:
+    2(1+r^2)/(1-r^2) exp(-2v/(1-r^2)) for n = 4, and for n = 6
+    exp(-bv) (amp1 cosh(cv) + amp2 sinh(cv)/c) with b = (7-r^2)/(2(1-r^2)),
+    c = sqrt(r^4-14r^2+1)/(2(1-r^2)) (complex above r^2 = 7-4 sqrt(3)),
+    amp1 = 3(1 - r^2 x^2 + 3(r^2 - x^2)), amp2 = (3/2)(1 + x^2 r^2 + 5(x^2 + r^2))."""
+    with mp.workdps(dps):
+        x2, r2, v = mp.mpf(x2), mp.mpf(r2), mp.mpf(v)
+        if n == 4:
+            return float(2 * (1 + r2) / (1 - r2) * mp.exp(-2 * v / (1 - r2)))
+        b = (7 - r2) / (2 * (1 - r2))
+        c = mp.sqrt(mp.mpc(r2 * r2 - 14 * r2 + 1)) / (2 * (1 - r2))
+        amp1 = 3 * (1 - r2 * x2 + 3 * (r2 - x2))
+        amp2 = mp.mpf(3) / 2 * (1 + x2 * r2 + 5 * (x2 + r2))
+        sinhc = v if c == 0 else mp.sinh(c * v) / c
+        return float(mp.re(mp.exp(-b * v) * (amp1 * mp.cosh(c * v) + amp2 * sinhc)))

@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hypball
-from hypball.cli import RunConfig, main, parse_config, run
+from hypball.cli import RunConfig, _build_parser, main, parse_config, run
 from hypball.geometry import BallDomain, unit_sphere_area
 from hypball.kernels import poisson_coefficient
 from hypball.specfun import Dimension
@@ -72,6 +73,43 @@ def test_runconfig_validation():
             RunConfig(command="pk-closed", quad_tol=bad)
         with pytest.raises(ValueError, match="dt"):
             RunConfig(command="mc-validate", dt=bad)
+
+
+def test_one_flag_per_config_field():
+    # the parser is derived from RunConfig: one flag per field, spelled as
+    # the field with dashes, or as its config-file alias
+    flags = {a.dest: a.option_strings for a in _build_parser()._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    assert sorted(flags) == sorted(f.name for f in fields(RunConfig)[1:])
+    assert sorted(s for spellings in flags.values() for s in spellings) == sorted(
+        ["--n", "--r", "--x", "--y", "--theta-grid", "--kmax", "--series-tol",
+         "--quad-tol", "--dt", "--paths", "--seed", "--max-steps", "--scheme",
+         "--exit-mode", "--suite", "--which", "--output", "--format"])
+
+
+def test_invalid_choices_exit_2_with_error_record(tmp_path, capsys):
+    out = str(tmp_path / "out.csv")
+    cases = [
+        (["mc-validate", "--scheme", "milstein"],
+         "scheme must be 'cartesian' or 'polar'"),
+        (["mc-validate", "--exit-mode", "reflect"],
+         "exit_mode must be 'bridge' or 'grid'"),
+        (["identity-check", "--suite", "bogus"], "unknown suite 'bogus'"),
+        (["conjecture-scan", "--which", "3"], "which must be 1, 2 or both"),
+        (["coeffs", "--format", "xml"], "format must be csv or json"),
+        (["frobnicate"], "unknown command 'frobnicate'"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--output", out])
+        assert exit_.value.code == 2
+        rec = json.loads(capsys.readouterr().err)
+        assert rec == {"error": "ValueError", "status": 2, "message": message}
+    with pytest.raises(SystemExit) as exit_:
+        main(["coeffs", "--r", "wide"])
+    assert exit_.value.code == 2
+    assert json.loads(capsys.readouterr().err)["status"] == 2
+    assert not os.path.exists(out)
 
 
 def test_outdir_env_names_default_output(tmp_path, monkeypatch):

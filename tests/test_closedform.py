@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 
+import mp_reference
 import mpmath as mp
 import numpy as np
 import pytest
@@ -163,6 +164,22 @@ def test_weight_continuous_across_critical_radius():
     for v in (0.0, 0.3, 1.0, 4.0):
         assert lo(v) == pytest.approx(mid(v), rel=1e-6)
         assert hi(v) == pytest.approx(mid(v), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "n, r2",
+    [(6, R2_CRIT + d) for d in (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-9, -1e-9,
+                                 1e-8, -1e-8, 1e-6, -1e-6)]
+    + [(4, 0.36), (4, 0.81)],
+)
+def test_weight_matches_mpmath_across_critical_radius(n, r2):
+    # one formula for real, zero and imaginary c: no band around the
+    # critical radius and no cancellation for small c; a reference that
+    # underflows to 0 must be matched exactly
+    w = laplace_weight(Dimension(n), 0.02, r2)
+    for v in (0.0, 0.1, 1.0, 4.0, 20.0, 100.0):
+        ref = mp_reference.laplace_weight(n, 0.02, r2, v)
+        assert abs(float(w(v)) - ref) <= 1e-12 * abs(ref), (v, w(v), ref)
 
 
 def test_weight_validation():

@@ -64,6 +64,21 @@ def test_simulate_polar_start_validation():
         simulate_polar(DIM4, 0.09, BALL4, cfg, phi0=1.5)
 
 
+def test_simulators_reject_mismatched_dimensions():
+    # checked before any path is stepped: a 4-D start in a 6-D ball, and a
+    # start with too few coordinates, used to run or fail inside the loop
+    cfg = SdeConfig(dt=1e-3, n_paths=4, seed=1)
+    ball6 = BallDomain(Dimension(6), 0.6)
+    with pytest.raises(ValueError, match="does not match"):
+        simulate_cartesian(DIM4, X0, ball6, cfg)
+    with pytest.raises(ValueError, match="4 coordinates"):
+        simulate_cartesian(DIM4, Point((0.3, 0.0, 0.0)), BALL4, cfg)
+    with pytest.raises(ValueError, match="does not match"):
+        simulate_polar(DIM4, 0.09, ball6, cfg)
+    with pytest.raises(ValueError, match="does not match"):
+        estimate_gauge(DIM4, 1, 0.09, ball6, cfg)
+
+
 def test_cartesian_replays_bit_identically():
     cfg = SdeConfig(dt=1e-3, n_paths=2000, seed=7)
     s1 = simulate_cartesian(DIM4, X0, BALL4, cfg)
