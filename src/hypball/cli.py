@@ -502,6 +502,11 @@ def parse_config(argv):
         outdir = os.environ.get(_OUTDIR_ENV, ".")
         name = cfg.command.replace("-", "_") + "." + cfg.format
         cfg = replace(cfg, output=os.path.join(outdir, name))
+    # fail before computing, not after a long run
+    if os.path.isdir(cfg.output):
+        raise ValueError(f"output {cfg.output!r} is a directory")
+    if not os.path.isdir(os.path.dirname(cfg.output) or "."):
+        raise ValueError(f"output directory of {cfg.output!r} does not exist")
     return cfg
 
 
@@ -520,7 +525,10 @@ def run(cfg):
     except (ArithmeticError, RuntimeError) as exc:
         return _error_record(3, exc)
     writer = _write_csv if cfg.format == "csv" else _write_json
-    writer(cfg.output, cfg, columns, rows, meta)
+    try:
+        writer(cfg.output, cfg, columns, rows, meta)
+    except OSError as exc:
+        return _error_record(2, exc)
     summary = f"wrote {cfg.output}"
     if "pass" in meta:
         summary += " pass" if meta["pass"] else " FAIL"
@@ -531,8 +539,6 @@ def run(cfg):
 def main(argv=None):
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
-    except ValueError as exc:
-        sys.exit(_error_record(2, exc))
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         sys.exit(_error_record(2, exc))
     sys.exit(run(cfg))

@@ -6,7 +6,7 @@ coefficients built from F_k. The Green function is the whole-space Green
 function, closed form through G_0, minus a Gegenbauer series for its Kelvin
 image, which converges geometrically for every pair of points. Truncation
 is controlled by an angle-free majorant (Gegenbauer polynomials evaluated
-at 1) with an empirically fitted geometric tail.
+at 1) whose tail has a proven geometric bound.
 """
 
 import functools
@@ -37,7 +37,7 @@ class SeriesTruncationError(RuntimeError):
         self.achieved = achieved
 
 
-# terms always summed before the fitted tail bound is trusted
+# smallest k_max a SeriesControl accepts
 _MIN_TERMS = 10
 
 
@@ -46,8 +46,7 @@ class SeriesControl:
     """Truncation policy for the spectral sums.
 
     tol is the target absolute error of the returned kernel value; the
-    majorant-based tail bound is pushed below it. k_max must allow the
-    _MIN_TERMS terms summed before the tail fit is trusted.
+    proven majorant tail bound is pushed below it within k_max terms.
     """
 
     k_max: int = 2000
@@ -120,48 +119,41 @@ def poisson_coefficient(D, k, ax):
     return _powers(ax / D.r, k) * F_k(D.dim, k, ax**2) / fr
 
 
-def _fit_tail(majorants, base_ratio):
-    """Geometric tail bound from the last few majorant magnitudes: the
-    stepwise ratio decreases toward base_ratio, so max(recent) * q/(1-q)
-    with q = max(base_ratio, observed) dominates the remainder."""
-    c = max(majorants[-5:])
-    q = base_ratio
-    if len(majorants) >= 2 and majorants[-2] > 0:
-        q = max(q, majorants[-1] / majorants[-2])
-    if q >= 1:
-        return math.inf
-    return c * q / (1 - q)
+def _series_table(name, D, coefficient, ratio, scale, ctl):
+    """Terms 0..K-1 of a_k = (k+rho)/rho * coefficient(k), K >= 1 the first
+    order whose proven bound on the tail sum_(k >= K) m_k, m_k = |a_k| C_k(1)
+    >= |a_k C_k(cos)|, is below ctl.tol * scale. The coefficients come in
+    the blocks of orders of _block_end, and each block is cut at once.
 
-
-def _series_table(name, dim, coefficient, base, scale, ctl):
-    """Terms (k+rho)/rho * coefficient(k) up to the first k >= _MIN_TERMS - 1
-    whose fitted tail bound is below ctl.tol * scale. The coefficients come
-    in the blocks of orders of _block_end, but the cut is the one a
-    term-by-term loop makes.
-    Raises SeriesTruncationError, with the bound over scale, when k_max is
-    reached first."""
-    target = ctl.tol * scale
-    coeffs, majorants = [], []
-    c_at_1 = 1.0
-    bound = math.inf
-    k0 = 0
+    For j >= k >= 1, m_j <= m_k kappa_k q_k^(j-k) with kappa_k =
+    F_k(r^2)/(1-r^2)^rho and q_k = ratio(k), which decreases in k; so the
+    tail from K is at most m_K kappa_K / (1 - q_K) when q_K < 1. Proof: by
+    Euler's integral (DLMF 15.6.1) F_k(z) = E[(1 - zT)^rho], T ~ Beta(k,
+    n/2), so (1-z)^rho <= F_(k+1)(z) <= F_k(z); G_k(z) = (1-z)^(n-1) E[p_B]
+    / p_(k-1), B ~ Bin(k-1, 1-z), with p_i = (n/2)_i/(n)_i decreasing, so
+    G_(k+1)/G_k <= p_(k-1)/p_k = (n+k-1)/(n/2+k-1); and C_(k+1)(1)/C_k(1) =
+    (k+n-2)/(k+1). Raises SeriesTruncationError, with the bound over scale,
+    when k_max is reached first."""
+    rho, target = D.dim.rho, ctl.tol * scale
+    blocks, k0 = [], 0
     while k0 <= ctl.k_max:
         ks = np.arange(k0, min(_block_end(k0), ctl.k_max) + 1)
-        block = (ks + dim.rho) / dim.rho * coefficient(ks)
-        for k, a in zip(ks.tolist(), block.tolist()):
-            if k > 0:
-                c_at_1 *= (k + dim.n - 3) / k
-            coeffs.append(a)
-            majorants.append(abs(a) * c_at_1)
-            if k + 1 >= _MIN_TERMS:
-                bound = _fit_tail(majorants, base)
-                if bound < target:
-                    return np.array(coeffs)
+        block = (ks + rho) / rho * coefficient(ks)
+        # C_k(1) = binom(k+n-3, n-3)
+        c_at_1 = np.prod([(ks + j) / j for j in range(1, D.dim.n - 2)], axis=0)
+        kappa = _at_boundary(F_k, D.dim, ks, D.r**2) / (1 - D.r**2) ** rho
+        q = ratio(ks)
+        with np.errstate(divide="ignore"):
+            bound = np.abs(block) * c_at_1 * kappa / np.where(q < 1, 1 - q, 0.0)
+        met = (ks >= 1) & (bound < target)
+        if met.any():
+            return np.concatenate(blocks + [block[: np.argmax(met)]])
+        blocks.append(block)
         k0 = int(ks[-1]) + 1
     raise SeriesTruncationError(
-        f"{name} series tail bound {bound / scale:.3e} exceeds tol "
+        f"{name} series tail bound {bound[-1] / scale:.3e} exceeds tol "
         f"{ctl.tol:.3e} at k_max={ctl.k_max}",
-        bound / scale,
+        bound[-1] / scale,
     )
 
 
@@ -170,8 +162,10 @@ def _poisson_table(D, ax, ctl):
     """Coefficients a_k = (k+rho)/rho * poisson_coefficient(k) up to the
     truncation point, cached per (domain, |x|, control). Both table caches
     keep 64: a CLI command revisits a few tables, a new |x| none."""
+    t, rho, n = ax / D.r, D.dim.rho, D.dim.n
     return _series_table(
-        "poisson", D.dim, lambda ks: poisson_coefficient(D, ks, ax), ax / D.r,
+        "poisson", D, lambda ks: poisson_coefficient(D, ks, ax),
+        lambda k: t * (k + 1 + rho) * (k + n - 2) / ((k + rho) * (k + 1)),
         sphere_area(D.dim, D.r), ctl,
     )
 
@@ -257,10 +251,12 @@ def green_coefficient(D, k, ax, R):
 @functools.lru_cache(maxsize=64)
 def _image_table(D, ax, ay, ctl):
     """Terms (k+rho)/rho * _image_coefficient(k, ax, ay) up to truncation;
-    their ratio tends to s = ax ay / r^2 < 1."""
+    their step ratio bound tends to s = ax ay / r^2 < 1."""
+    s, n = ax * ay / D.r**2, D.dim.n
     return _series_table(
-        "green", D.dim, lambda ks: _image_coefficient(D, ks, ax, ay),
-        ax * ay / D.r**2, 1.0, ctl,
+        "green", D, lambda ks: _image_coefficient(D, ks, ax, ay),
+        lambda k: s * (k + n - 2) * (k + n - 1) / ((k + 1) * (k + n / 2 - 1)),
+        1.0, ctl,
     )
 
 

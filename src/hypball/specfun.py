@@ -73,15 +73,19 @@ def _block_end(k):
 
 
 def _f_recurrence(dim, top, z):
-    """[F_0(z), ..., F_top(z)] for odd n and 0 < z < 1; see F_k."""
+    """[F_0(z), ..., F_top(z)] for odd n and 0 < z < 1; see F_k. The orders
+    run down in chunks of 4096 and only the last top+1 values are kept, so
+    memory does not grow with the ln(1e-17)/ln z orders above top."""
     start = top + math.ceil(math.log(1e-17) / math.log(z)) + 2
-    ks = np.arange(1, start + 1)
-    a = ks * (ks + dim.n - 1) / ((ks + dim.n / 2 - 1) * (ks + dim.n / 2))
-    f, f_next, backward = 1.0, 0.0, [1.0]
-    for ak in reversed(a.tolist()):
-        f, f_next = f + z * (f - ak * f_next), f
-        backward.append(f)
-    values = np.array(backward[::-1][: top + 1])
+    f, f_next, values = 1.0, 0.0, []
+    for hi in range(start, 0, -4096):
+        ks = np.arange(max(hi - 4095, 1), hi + 1)
+        a = ks * (ks + dim.n - 1) / ((ks + dim.n / 2 - 1) * (ks + dim.n / 2))
+        for ak in reversed(a.tolist()):
+            f, f_next = f + z * (f - ak * f_next), f
+            values.append(f)
+        del values[: -top - 1]
+    values = np.array(values[::-1])
     return values / values[0]
 
 

@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +232,27 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert exit_.value.code == 2
         assert json.loads(capsys.readouterr().err)["status"] == 2
         assert not out.exists()
+
+
+def test_unwritable_output_exits_2_with_error_record(tmp_path, capsys, monkeypatch):
+    # a missing directory or a directory as --output fails before anything
+    # is computed, and a writer failure after it gets the same record
+    missing = tmp_path / "missing"
+    for argv in (["coeffs", "--output", str(missing / "c.csv")],
+                 ["mc-validate", "--paths", "1000000", "--output", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        rec = json.loads(capsys.readouterr().err)
+        assert rec["error"] == "ValueError" and rec["status"] == 2
+    monkeypatch.setenv("HYPBALL_OUTDIR", str(missing))
+    with pytest.raises(ValueError, match="does not exist"):
+        parse_config(["coeffs"])
+    cfg = parse_config(["coeffs", "--output", str(tmp_path / "c.csv")])
+    assert run(replace(cfg, output=str(missing / "c.csv"))) == 2
+    rec = json.loads(capsys.readouterr().err)
+    assert rec["error"] == "FileNotFoundError" and rec["status"] == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import mp_reference
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from hypball import kernels
 from hypball.closedform import green_closed_n4, green_closed_n6
@@ -253,14 +254,16 @@ def test_green_near_diagonal_odd_n_matches_mpmath(n):
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_green_split_matches_coefficient_series(n):
     # at split radii the plain series of green_coefficient converges (ratio
-    # |x|/|y| = 1/2), and its free halves must sum to the whole-space part
+    # |x|/|y| = 1/2), and its free halves must sum to the whole-space part;
+    # the image tail is summed to 1e-14 absolute, below the compared 1e-12
     D = ball(n)
     rho = D.dim.rho
     ks = np.arange(80)
     terms = (ks + rho) / rho * green_coefficient(D, ks, 0.2, 0.4)
     series = terms @ gegenbauer_sequence(rho, 79, math.cos(1.0))
     x, y = on_sphere(0.2, 0.0, n), on_sphere(0.4, 1.0, n)
-    assert green_function(D, x, y) == pytest.approx(series, rel=1e-12)
+    ctl = SeriesControl(tol=1e-14)
+    assert green_function(D, x, y, ctl) == pytest.approx(series, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -282,6 +285,35 @@ def test_tables_match_scalar_coefficients(n, r, ax, ay):
     assert np.array_equal(
         b, [(k + rho) / rho * _image_coefficient(D, k, ay, ax) for k in range(len(b))]
     )
+
+
+def majorant_tail(D, terms, table):
+    """sum of |a_k| C_k(1) over the 4000 orders past the table, with terms(ks)
+    giving a_k."""
+    ks = np.arange(len(table), len(table) + 4000)
+    return float(np.abs(terms(ks)) @ sps.binom(ks + D.dim.n - 3, D.dim.n - 3))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_tables_stop_where_the_majorant_tail_meets_tol(n):
+    # the proven cut: past every Poisson and image table, the summed
+    # majorant tail is within tol * scale
+    ctl = SeriesControl()
+    for r in (0.3, 0.6, 0.95):
+        D = ball(n, r)
+        rho = D.dim.rho
+        for ax in (0.2 * r, 0.7 * r, 0.9 * r):
+            a = _poisson_table(D, ax, ctl)
+            tail = majorant_tail(
+                D, lambda ks: (ks + rho) / rho * poisson_coefficient(D, ks, ax), a
+            )
+            assert tail <= ctl.tol * sphere_area(D.dim, r)
+            for ay in (ax, 0.5 * ax):
+                b = _image_table(D, ay, ax, ctl)
+                tail = majorant_tail(
+                    D, lambda ks: (ks + rho) / rho * _image_coefficient(D, ks, ay, ax), b
+                )
+                assert tail <= ctl.tol
 
 
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.95])

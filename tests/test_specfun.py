@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mp_reference
 import mpmath as mp
@@ -176,6 +177,35 @@ def test_odd_recurrence_at_block_edges(n):
                 assert F_k(dim, k, z) == f
                 ref = mp_reference.f_value(n, k, z)
                 assert abs((f - ref) / ref) < 1e-12
+
+
+def test_odd_recurrence_memory_near_the_boundary():
+    # the ln(1e-17)/ln z ~ 2e5 orders above the block run in chunks, so a
+    # 64-order block at z = 0.9998 does not hold them all at once
+    tracemalloc.start()
+    try:
+        F_k(Dimension(5), np.arange(64), 0.9998)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_series_tail_bound_lemmas(n):
+    # the three facts behind the proven tail bounds of the spectral series:
+    # F_(k+1) <= F_k, (1-z)^rho <= F_k and G_(k+1)/G_k <= (n+k-1)/(n/2+k-1)
+    # for k >= 1, up to a relative 1e-14 for rounding
+    dim = Dimension(n)
+    ks = np.arange(1, 2002)
+    slack = 1 + 1e-14
+    for z in (1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98, 0.995):
+        f = F_k(dim, ks, z)
+        assert np.all(f[1:] <= f[:-1] * slack)
+        assert np.all((1 - z) ** dim.rho <= f * slack)
+        g = G_k(dim, ks, z)
+        step = (n + ks[:-1] - 1) / (n / 2 + ks[:-1] - 1)
+        assert np.all(g[1:] <= g[:-1] * step * slack)
 
 
 @given(st.floats(0.25, 3.0), st.integers(0, 40), st.floats(-1.0, 1.0))
