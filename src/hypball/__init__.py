@@ -30,4 +30,4 @@ from .closedform import (
     laplace_weight,
     poisson_integral,
 )
-from .mc_sim import ExitSamples, SdeConfig, empirical_exit_density, estimate_gauge, simulate_cartesian, simulate_polar
+from .mc_sim import ExitSamples, SdeConfig, estimate_gauge, simulate_cartesian, simulate_polar

@@ -98,6 +98,9 @@ def test_invalid_choices_exit_2_with_error_record(tmp_path, capsys):
         (["conjecture-scan", "--which", "3"], "which must be 1, 2 or both"),
         (["coeffs", "--format", "xml"], "format must be csv or json"),
         (["frobnicate"], "unknown command 'frobnicate'"),
+        # the seed keys the Philox stream unmasked: no two seeds alias
+        (["mc-validate", "--seed", "-1"], "seed must lie in [0, 2**64)"),
+        (["mc-validate", "--seed", str(2**64 + 5)], "seed must lie in [0, 2**64)"),
     ]
     for argv, message in cases:
         with pytest.raises(SystemExit) as exit_:

@@ -1,16 +1,17 @@
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from exit_histogram import empirical_exit_density
 from hypball import mc_sim
 from hypball.geometry import BallDomain, Point
 from hypball.kernels import poisson_coefficient, poisson_kernel
 from hypball.mc_sim import (
     Potential,
     SdeConfig,
-    empirical_exit_density,
     estimate_gauge,
     exit_coefficients,
     simulate_cartesian,
@@ -21,6 +22,21 @@ from hypball.specfun import Dimension
 DIM4 = Dimension(4)
 BALL4 = BallDomain(DIM4, 0.6)
 X0 = Point((0.3, 0.0, 0.0, 0.0))
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Every ExitSamples the simulators build, caught at construction (as
+    estimate_gauge returns only the mean)."""
+    made = []
+
+    class Recorded(mc_sim.ExitSamples):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(mc_sim, "ExitSamples", Recorded)
+    return made
 
 
 def test_config_validation():
@@ -37,6 +53,20 @@ def test_config_validation():
         SdeConfig(dt=1e-3, n_paths=10, seed=1, scheme="milstein")
     with pytest.raises(ValueError, match="exit_mode"):
         SdeConfig(dt=1e-3, n_paths=10, seed=1, exit_mode="reflect")
+
+
+def test_config_rejects_aliased_seeds_and_non_int_counts():
+    # the seed keys the Philox stream as it is: -1 and 2**64 + 5 would
+    # alias 2**64 - 1 and 5 under a 64-bit mask, so they are refused, as
+    # are counts a step loop could not use
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match="seed must lie"):
+            SdeConfig(dt=1e-3, n_paths=10, seed=seed)
+    SdeConfig(dt=1e-3, n_paths=10, seed=2**64 - 1)
+    for field in ("seed", "n_paths", "max_steps"):
+        for bad in (10.0, True, "10"):
+            with pytest.raises(ValueError, match=f"{field} must be an int"):
+                SdeConfig(**{"dt": 1e-3, "n_paths": 10, "seed": 1, field: bad})
 
 
 def test_potential():
@@ -112,6 +142,80 @@ def test_polar_grid_replays_bit_identically():
     assert s1.phi_exit.mean() == pytest.approx(0.537726578722332, rel=1e-9)
 
 
+def test_coord_sum_keeps_numpy_row_sum_order():
+    # the Cartesian step sums the coordinates of its (n, m) state with
+    # _coord_sum; each sum must keep the bits np.sum gives the path-major
+    # rows, in the order this NumPy adds a row (left to right below 8
+    # terms, eight running sums paired up to 128, halves above). Magnitudes
+    # over 30 decades make any other order visible; the first columns are
+    # all -0.0, which NumPy sums to +0.0
+    rng = np.random.default_rng(5)
+    for n in [*range(1, 41), 129, 300]:
+        p = rng.choice([-1.0, 1.0], (n, 500)) * 10.0 ** rng.uniform(-15, 15, (n, 500))
+        p[:, :3] = -0.0
+        want = np.sum(np.ascontiguousarray(p.T), axis=1)
+        assert np.array_equal(mc_sim._coord_sum(p).view(np.int64), want.view(np.int64)), n
+
+
+# SHA-256 prefixes of everything a seeded run returns (exit steps, exit
+# cosines, gauge integrals, path-step and floor-clamp counts) over two
+# blocks of paths, the second one short. A change to any draw, rounding
+# step or summation order of a step kernel moves them. They hold for one
+# NumPy build, whose exp, tanh and BLAS kernels take part in the bits.
+_STREAM_DIGESTS = {
+    ("cartesian", 3): "cc08c2df57f95caf",
+    ("cartesian", 4): "f2d1ae103f9ed99c",
+    ("cartesian", 6): "3c80d8e31a30d9f3",
+    ("cartesian", 8): "90f778a138035822",
+    ("bridge", 3): "1c3a9df4c51b249c",
+    ("bridge", 4): "501aca79ad59d1ac",
+    ("bridge", 6): "98976d09bd4ced20",
+    ("bridge", 8): "21e8ec33bc615f93",
+    ("grid", 3): "679fe02161e93e1b",
+    ("grid", 4): "e794cc841a3fa076",
+    ("grid", 6): "93d238ffc3ef6795",
+    ("grid", 8): "8576b1522b81ce60",
+    ("gauge", 3): "5754af908958abee",
+    ("gauge", 4): "e88c5b843671661a",
+    ("gauge", 6): "3cfbb044a45bbf41",
+    ("gauge", 8): "5ad59c9f3411d5ce",
+}
+
+
+def _pinned_run(kind, n):
+    dim = Dimension(n)
+    D = BallDomain(dim, 0.6)
+    cfg = SdeConfig(dt=1e-3, n_paths=2**14 + 77, seed=42, r_floor=0.01,
+                    scheme="cartesian" if kind == "cartesian" else "polar",
+                    exit_mode="grid" if kind == "grid" else "bridge")
+    if kind == "cartesian":
+        x = np.zeros(n)
+        x[:2], x[-1] = 0.2, -0.1  # |x| = 0.3, off every axis
+        simulate_cartesian(dim, Point(x), D, cfg)
+    elif kind == "gauge":
+        estimate_gauge(dim, 2, 0.09, D, cfg)
+    else:
+        simulate_polar(dim, 0.09, D, cfg)
+
+
+def _digest(samples):
+    h = hashlib.sha256()
+    for a in (samples.tau_steps, samples.phi_exit, samples.gauge_integral):
+        h.update(b"" if a is None else a.tobytes())
+    h.update(f"{samples.total_steps} {samples.clamped_steps}".encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind, n", list(_STREAM_DIGESTS))
+def test_seeded_streams_are_pinned(kind, n, made):
+    _pinned_run(kind, n)
+    (s,) = made
+    assert s.censored == 0
+    # the polar floor at R = 0.01 is hit, so its clamp branch is pinned too
+    assert (s.clamped_steps > 0) == (kind != "cartesian")
+    assert _digest(s) == _STREAM_DIGESTS[kind, n]
+
+
 def test_gauge_replays_and_decorrelates():
     cfg = SdeConfig(dt=1e-3, n_paths=2000, seed=7, scheme="polar")
     assert estimate_gauge(DIM4, 1, 0.09, BALL4, cfg) == estimate_gauge(
@@ -144,18 +248,8 @@ def test_censoring_is_counted_not_dropped():
 
 
 @pytest.mark.parametrize("kind", ["cartesian", "bridge", "grid", "gauge"])
-def test_total_steps_counts_every_path_step(kind, monkeypatch):
-    # every exited path took tau_steps steps, every censored one max_steps;
-    # the samples are caught at construction, as estimate_gauge returns
-    # only the mean
-    made = []
-
-    class Recorded(mc_sim.ExitSamples):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(mc_sim, "ExitSamples", Recorded)
+def test_total_steps_counts_every_path_step(kind, made):
+    # every exited path took tau_steps steps, every censored one max_steps
     cfg = SdeConfig(dt=1e-3, n_paths=400, seed=13, max_steps=40,
                     scheme="cartesian" if kind == "cartesian" else "polar",
                     exit_mode="grid" if kind == "grid" else "bridge")
