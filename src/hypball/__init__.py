@@ -6,17 +6,15 @@ equations."""
 
 __version__ = "0.1.0"
 
-from .specfun import Dimension, F_k, G_k, gegenbauer, gegenbauer_at_one, wronskian_residual
-from .geometry import BallDomain, Point, cos_angle, hyperbolic_distance, sphere_area
+from .specfun import Dimension, F_k, G_k, gegenbauer_at_one, wronskian_residual
+from .geometry import BallDomain, Point, cos_angle, sphere_area
 from .kernels import (
-    GegenbauerSpectrum,
     SeriesControl,
     green_coefficient,
     green_function,
     poisson_coefficient,
     poisson_from_green_derivative,
     poisson_kernel,
-    spectrum_of,
 )
 from .closedform import (
     LaplaceWeight,

@@ -1,8 +1,5 @@
-"""Ball-model geometry: interior points, the hyperbolic distance
-
-    cosh(2 d(x,y)) = 1 + 2|x-y|^2 / ((1-|x|^2)(1-|y|^2)),
-
-sphere areas and the angle cosine used as Gegenbauer argument."""
+"""Ball-model geometry: interior points, ball domains, sphere areas and the
+angle cosine used as Gegenbauer argument."""
 
 import math
 from dataclasses import dataclass
@@ -55,13 +52,6 @@ def sphere_area(dim, R):
     if R <= 0:
         raise ValueError("needs R > 0")
     return unit_sphere_area(dim.n - 1) * R ** (dim.n - 1)
-
-
-def hyperbolic_distance(x, y):
-    """Hyperbolic distance between interior points of the ball model."""
-    dx = x.coords - y.coords
-    arg = 1 + 2 * float(dx @ dx) / ((1 - x.norm**2) * (1 - y.norm**2))
-    return 0.5 * math.acosh(arg)
 
 
 def as_rows(n, x, y):

@@ -15,17 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point, as_rows, cos_angle, row_norms, sphere_area, unit_sphere_area
-from .specfun import (
-    Dimension,
-    F_k,
-    G_k,
-    _as_order,
-    _block_end,
-    _g0_pair,
-    gegenbauer_at_one,
-    gegenbauer_sequence,
-)
+from .geometry import Point, as_rows, cos_angle, row_norms, sphere_area
+from .specfun import F_k, G_k, _as_order, _block_end, _g0_pair, gegenbauer_sequence
 
 
 class SeriesTruncationError(RuntimeError):
@@ -57,20 +48,6 @@ class SeriesControl:
             raise ValueError(f"need k_max >= {_MIN_TERMS}")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-
-
-@dataclass(frozen=True)
-class GegenbauerSpectrum:
-    """Gegenbauer transform of an axially symmetric function on a sphere:
-    coefficients c_k with C_k(1) c_k = integral of C_k(cos theta) against
-    the function times surface measure."""
-
-    dim: Dimension
-    coefficients: tuple
-
-    @property
-    def kmax(self):
-        return len(self.coefficients) - 1
 
 
 def _green_prefactor(dim):
@@ -319,37 +296,3 @@ def poisson_from_green_derivative(D, x, u, h, ctl=SeriesControl()):
     y_in = Point((D.r - h) * direction)
     g = green_function(D, x, y_in, ctl)
     return g / (h * (1 - D.r**2) ** (D.dim.n - 2))
-
-
-def spectrum_of(fn, dim, R, K, tol=1e-10):
-    """Gegenbauer transform of an axially symmetric function on the sphere
-    of radius R, treated as a density against surface measure:
-
-        C_k(1) c_k = omega_{n-2} R^{n-1}
-                     * int_0^pi fn(theta) C_k(cos theta) sin^{n-2}(theta) dtheta.
-
-    Applied to a Poisson kernel this returns the poisson_coefficient
-    sequence. Gauss-Legendre in theta with node doubling until the
-    coefficients stabilize below tol.
-    """
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    rho = dim.rho
-    weight = unit_sphere_area(dim.n - 2) * R ** (dim.n - 1)
-    m = max(64, 4 * (K + 1))
-    prev = None
-    while m <= 65536:
-        nodes, w = np.polynomial.legendre.leggauss(m)
-        theta = 0.5 * math.pi * (nodes + 1)
-        w = 0.5 * math.pi * w
-        vals = np.array([fn(t) for t in theta])
-        ck = gegenbauer_sequence(rho, K, np.cos(theta))
-        integrand = vals * np.sin(theta) ** (dim.n - 2) * w
-        raw = ck @ integrand
-        cone = np.array([gegenbauer_at_one(rho, k) for k in range(K + 1)])
-        coeffs = weight * raw / cone
-        if prev is not None and np.max(np.abs(coeffs - prev)) < tol:
-            return GegenbauerSpectrum(dim, tuple(coeffs))
-        prev = coeffs
-        m *= 2
-    raise RuntimeError("gegenbauer transform quadrature did not stabilize")

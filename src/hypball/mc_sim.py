@@ -3,7 +3,8 @@ run to the exit of a centered ball with Euler-Maruyama in two independent
 coordinates (the full Cartesian SDE and the polar (R, Phi) pair), using
 the variance-2t Brownian convention throughout: every increment is
 sqrt(2 dt) xi. Exit-law Gegenbauer statistics and the Feynman-Kac gauge
-functional E exp(-int q(R_s) ds) are estimated with standard errors.
+E exp(-k(k+n-2) J), J = int (1-R_s)^2/R_s ds the clock that also drives the
+sphere-angle step, are estimated with standard errors.
 
 One driver, _simulate, runs every scheme: paths are simulated in
 fixed-size blocks, each block driven by its own counter-based Philox
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import Dimension, gegenbauer_at_one, gegenbauer_sequence
+from .specfun import _as_order, gegenbauer_at_one, gegenbauer_sequence
 
 _BLOCK = 1 << 14
 
@@ -68,9 +69,9 @@ class SdeConfig:
 class ExitSamples:
     """Exit events of the paths that left the ball, one array entry per
     path: tau_steps (step count at exit), phi_exit (exit cosine
-    cos(angle(x0, X_tau)), in [-1, 1]) and gauge_integral (the accumulated
-    potential int_0^tau q(R_s) ds, or None when no potential was run), plus
-    censoring, floor-clamp and path-step accounting."""
+    cos(angle(x0, X_tau)), in [-1, 1]) and gauge_integral (the clock
+    J = int_0^tau (1-R_s)^2/R_s ds of a gauge chain, or None on an exit-law
+    chain), plus censoring, floor-clamp and path-step accounting."""
 
     def __init__(self, tau_steps, phi_exit, gauge_integral, n_requested,
                  clamped_steps=0, total_steps=0):
@@ -93,22 +94,6 @@ class ExitSamples:
     @property
     def censored_fraction(self):
         return self.censored / self.n_requested
-
-
-@dataclass(frozen=True)
-class Potential:
-    """Radial Feynman-Kac potential q(x) = k (k+n-2) (1-x)^2 / x, positive
-    on (0,1); its gauge is the normalized Gegenbauer exit coefficient."""
-
-    k: int
-    n: Dimension
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-
-    def __call__(self, x):
-        return self.k * (self.k + self.n.n - 2) * (1 - x) ** 2 / x
 
 
 def _block_sizes(n_paths):
@@ -135,7 +120,7 @@ def _simulate(cfg, stream, start, step, gauge=False):
     path axis is last, so a vector start gives a (len(v), m) array.
     step(state, rng) advances the state tuple by one time step and returns
     (state, exited, exit_value, clamps); exit_value holds one entry per
-    exited path (the exit cosine, or the gauge integral when gauge is set)
+    exited path (the exit cosine, or the clock J when gauge is set)
     and is read only when some path exited. Exited paths are recorded with
     their step count and dropped; paths still inside after max_steps are
     censored. Floor clamps beyond 1% of the path-steps warn."""
@@ -290,19 +275,16 @@ def simulate_cartesian(dim, x0, D, cfg):
     return _simulate(cfg, _STREAM_CARTESIAN, (x0v, ax0), step)
 
 
-def _polar_grid_core(dim, R0, phi0, D, cfg, potential, stream):
+def _polar_grid_core(dim, R0, phi0, D, cfg):
     """Plain Euler-Maruyama loop for the polar pair (R, Phi), exit at the
-    first grid crossing; when a potential is given, Phi is not simulated
-    (the gauge only needs R) and the left-endpoint Riemann sum of q(R) dt
-    is accumulated in its place."""
+    first grid crossing."""
     n = dim.n
     r2 = D.r**2
     root = math.sqrt(2 * cfg.dt)
-    gauge = potential is not None
 
     def step(state, rng):
-        R, phi = state  # phi holds the gauge integral J when gauge is set
-        xi = rng.standard_normal((len(R), 1 if gauge else 2))
+        R, phi = state
+        xi = rng.standard_normal((len(R), 2))
         one_m = 1.0 - R
         Rn = R + 2 * one_m * (
             np.sqrt(R) * root * xi[:, 0] + ((n - 4) * R + n) * cfg.dt
@@ -311,17 +293,14 @@ def _polar_grid_core(dim, R0, phi0, D, cfg, potential, stream):
         if Rn.min() < cfg.r_floor:
             clamps = int(np.count_nonzero(Rn < cfg.r_floor))
             Rn = np.maximum(Rn, cfg.r_floor)
-        if gauge:
-            phi = phi + potential(R) * cfg.dt
-        else:
-            phi = phi + one_m * np.sqrt(
-                np.clip(1 - phi * phi, 0, None) / R
-            ) * root * xi[:, 1] - (n - 1) * one_m * one_m / R * phi * cfg.dt
-            phi = np.clip(phi, -1.0, 1.0)
+        phi = phi + one_m * np.sqrt(
+            np.clip(1 - phi * phi, 0, None) / R
+        ) * root * xi[:, 1] - (n - 1) * one_m * one_m / R * phi * cfg.dt
+        phi = np.clip(phi, -1.0, 1.0)
         exited = Rn >= r2
         return (Rn, phi), exited, phi[exited], clamps
 
-    return _simulate(cfg, stream, (R0, 0.0 if gauge else phi0), step, gauge)
+    return _simulate(cfg, _STREAM_POLAR, (R0, phi0), step)
 
 
 def _cot_minus_inv(x):
@@ -398,7 +377,7 @@ def _sphere_angle_step(theta, f_dt, rng, n, m_sub=4):
     return np.where(upper, math.pi - th, th)
 
 
-def _polar_bridge_core(dim, R0, theta0, D, cfg, potential, stream):
+def _polar_bridge_core(dim, R0, theta0, D, cfg, stream):
     """Exit-bias-corrected polar simulation. The radial motion runs in the
     geodesic coordinate S = atanh(sqrt(R)), where the diffusion
     coefficient is constant (dS = sqrt(2) dW + 2(n-1) coth(2S) dt), so
@@ -408,25 +387,22 @@ def _polar_bridge_core(dim, R0, theta0, D, cfg, potential, stream):
     additive noise; freezing the drift at the step start instead leaves
     an O(dt) error in the exit law that is visible at 10^6 paths. The
     squared angular rate f(R) = (1-R)^2/R is accrued trapezoidally over
-    each step and drives either the gauge integral or the sphere-angle
-    step, keeping the two estimates consistent. An exit step is charged
-    only up to the crossing: the trapezoid endpoint sits on the barrier
-    and the charge is scaled by the conditional mean crossing fraction
-    given the step endpoints. Charging the full step would bias both
-    estimates low by about rate * dt/2 per path, and the straight-line
-    crossing fraction still overcharges: conditioned on crossing, the
-    bridge typically crosses earlier than the chord does."""
+    each step and drives the sphere-angle step, or, with theta0 None (a
+    gauge chain, no angle step), adds up to the clock J. An exit step is
+    charged only up to the crossing: the trapezoid endpoint sits on the
+    barrier and the charge is scaled by the conditional mean crossing
+    fraction given the step endpoints. Charging the full step would bias
+    both estimates low by about rate * dt/2 per path, and the
+    straight-line crossing fraction still overcharges: conditioned on
+    crossing, the bridge typically crosses earlier than the chord does."""
     n = dim.n
     S_bar = math.atanh(D.r)
     S_floor = math.atanh(math.sqrt(cfg.r_floor))
     root = math.sqrt(2 * cfg.dt)
-    gauge = potential is not None
-
-    def rate(R):  # the squared angular rate f(R), or q(R) on a gauge chain
-        return potential(R) if gauge else (1 - R) ** 2 / R
+    gauge = theta0 is None
 
     def step(state, rng):
-        S, theta = state  # theta holds the gauge integral J when gauge is set
+        S, theta = state  # theta holds the clock J on a gauge chain
         m = len(S)
         xi = rng.standard_normal(m)
         u = rng.random(m)
@@ -443,7 +419,7 @@ def _polar_bridge_core(dim, R0, theta0, D, cfg, potential, stream):
         ex = np.flatnonzero(exited)
         R_end = np.where(exited, D.r**2, np.tanh(np.minimum(Sn, S_bar)) ** 2)
         # the exit step is charged up to its mean crossing fraction
-        charge = (0.5 * cfg.dt) * (rate(R) + rate(R_end))
+        charge = (0.5 * cfg.dt) * ((1 - R) ** 2 / R + (1 - R_end) ** 2 / R_end)
         if ex.size:
             charge[ex] *= _mean_crossing_fraction(d0[ex] / root, np.abs(gap[ex]) / root)
         if gauge:
@@ -488,32 +464,30 @@ def simulate_polar(dim, R0, D, cfg, phi0=1.0):
     if not 0 < R0 < r2:
         raise ValueError("needs R0 in (0, r^2)")
     if cfg.exit_mode == "grid":
-        return _polar_grid_core(dim, R0, phi0, D, cfg, None, _STREAM_POLAR)
-    return _polar_bridge_core(dim, R0, math.acos(phi0), D, cfg, None, _STREAM_POLAR)
+        return _polar_grid_core(dim, R0, phi0, D, cfg)
+    return _polar_bridge_core(dim, R0, math.acos(phi0), D, cfg, _STREAM_POLAR)
 
 
 def estimate_gauge(dim, k, R0, D, cfg):
-    """Mean and standard error of exp(-int_0^tau q(R_s) ds) over paths of
-    the radial SDE alone, q from Potential(k). Equals the normalized
-    Gegenbauer coefficient of the exit law, so the analytic target is
-    (sqrt(R0)/r)^k F_k(R0)/F_k(r^2). Grid mode accumulates the
-    left-endpoint Riemann sum of q(R) dt along the Euler chain (q is
-    bounded on [r_floor, r^2], so the sum is well defined); bridge mode
-    accrues the trapezoid of q between step endpoints along the
-    geodesic-coordinate chain. Censored paths are excluded from the mean
-    (and warned about beyond 0.1%)."""
+    """Mean and standard error of exp(-k(k+n-2) J) over paths of the radial
+    SDE alone, J = int_0^tau (1-R_s)^2/R_s ds accrued by the bridge chain
+    (grid mode raises ValueError), k an integer order >= 0 with its own
+    stream. Equals the normalized Gegenbauer coefficient of the exit law,
+    so the analytic target is (sqrt(R0)/r)^k F_k(R0)/F_k(r^2). Censored
+    paths are excluded from the mean (and warned about beyond 0.1%)."""
     _check_ball(dim, D)
+    k = _as_order(k)
     if not 0 < R0 < D.r**2:
         raise ValueError("needs R0 in (0, r^2)")
-    q = Potential(k, dim)
-    core = _polar_grid_core if cfg.exit_mode == "grid" else _polar_bridge_core
-    samples = core(dim, R0, None, D, cfg, q, _STREAM_GAUGE + k)
+    if cfg.exit_mode != "bridge":
+        raise ValueError("the gauge needs exit_mode 'bridge'")
+    samples = _polar_bridge_core(dim, R0, None, D, cfg, _STREAM_GAUGE + k)
     if samples.censored_fraction > 1e-3:
         warnings.warn(
             f"censored fraction {samples.censored_fraction:.2e} exceeds 1e-3",
             RuntimeWarning,
         )
-    vals = np.exp(-samples.gauge_integral)
+    vals = np.exp(-(k * (k + dim.n - 2)) * samples.gauge_integral)
     if len(vals) == 0:
         return math.nan, math.inf
     est = float(vals.mean())

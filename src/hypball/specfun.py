@@ -203,17 +203,6 @@ def G_k(dim, k, z):
     return g[k] if np.ndim(k) else float(g[k])
 
 
-def gegenbauer(v, k, x):
-    """Gegenbauer polynomial C_k^(v)(x) by the three-term recurrence.
-
-    The v=0 convention is the Chebyshev limit: C_0^(0) = 1 and
-    C_k^(0)(x) = 2 T_k(x)/k for k >= 1.
-    """
-    if v < 0:
-        raise ValueError("needs v >= 0")
-    return float(gegenbauer_sequence(v, _as_order(k), x)[-1])
-
-
 def gegenbauer_sequence(v, kmax, x):
     """All of C_0^(v)(x) .. C_kmax^(v)(x) in one sweep.
 

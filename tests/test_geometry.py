@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from reference_helpers import hyperbolic_distance
 
 from hypball.geometry import (
     BallDomain,
     Point,
     cos_angle,
-    hyperbolic_distance,
     sphere_area,
     unit_sphere_area,
 )

@@ -4,12 +4,12 @@ import mp_reference
 import numpy as np
 import pytest
 import scipy.special as sps
+from reference_helpers import GegenbauerSpectrum, spectrum_of
 
 from hypball import kernels
 from hypball.closedform import green_closed_n4, green_closed_n6
 from hypball.geometry import BallDomain, Point, sphere_area
 from hypball.kernels import (
-    GegenbauerSpectrum,
     SeriesControl,
     SeriesTruncationError,
     _image_coefficient,
@@ -20,7 +20,6 @@ from hypball.kernels import (
     poisson_coefficient,
     poisson_from_green_derivative,
     poisson_kernel,
-    spectrum_of,
 )
 from hypball.specfun import Dimension, gegenbauer_sequence
 

@@ -10,7 +10,6 @@ from hypball import mc_sim
 from hypball.geometry import BallDomain, Point
 from hypball.kernels import poisson_coefficient, poisson_kernel
 from hypball.mc_sim import (
-    Potential,
     SdeConfig,
     estimate_gauge,
     exit_coefficients,
@@ -69,13 +68,19 @@ def test_config_rejects_aliased_seeds_and_non_int_counts():
                 SdeConfig(**{"dt": 1e-3, "n_paths": 10, "seed": 1, field: bad})
 
 
-def test_potential():
-    q = Potential(2, DIM4)
-    # k (k+n-2) (1-x)^2 / x at k=2, n=4: 8 (1-x)^2 / x
-    assert q(0.5) == pytest.approx(8 * 0.25 / 0.5)
-    assert Potential(0, DIM4)(0.3) == 0.0
-    with pytest.raises(ValueError):
-        Potential(-1, DIM4)
+def test_gauge_validation():
+    # an integral float order is that order; the gauge chain is the bridge
+    # chain, so grid mode has none
+    cfg = SdeConfig(dt=1e-3, n_paths=256, seed=9, scheme="polar")
+    assert estimate_gauge(DIM4, 2.0, 0.09, BALL4, cfg) == estimate_gauge(
+        DIM4, 2, 0.09, BALL4, cfg
+    )
+    for k in (2.5, -1):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            estimate_gauge(DIM4, k, 0.09, BALL4, cfg)
+    grid = SdeConfig(dt=1e-3, n_paths=256, seed=9, scheme="polar", exit_mode="grid")
+    with pytest.raises(ValueError, match="bridge"):
+        estimate_gauge(DIM4, 1, 0.09, BALL4, grid)
 
 
 def test_simulate_cartesian_start_validation():
@@ -158,10 +163,12 @@ def test_coord_sum_keeps_numpy_row_sum_order():
 
 
 # SHA-256 prefixes of everything a seeded run returns (exit steps, exit
-# cosines, gauge integrals, path-step and floor-clamp counts) over two
+# cosines, gauge clocks, path-step and floor-clamp counts) over two
 # blocks of paths, the second one short. A change to any draw, rounding
 # step or summation order of a step kernel moves them. They hold for one
-# NumPy build, whose exp, tanh and BLAS kernels take part in the bits.
+# NumPy build, whose exp, tanh and BLAS kernels take part in the bits. A
+# gauge run has two: its exit steps and step counts, which the clock's
+# arithmetic cannot move, and its clocks J.
 _STREAM_DIGESTS = {
     ("cartesian", 3): "cc08c2df57f95caf",
     ("cartesian", 4): "f2d1ae103f9ed99c",
@@ -175,10 +182,10 @@ _STREAM_DIGESTS = {
     ("grid", 4): "e794cc841a3fa076",
     ("grid", 6): "93d238ffc3ef6795",
     ("grid", 8): "8576b1522b81ce60",
-    ("gauge", 3): "5754af908958abee",
-    ("gauge", 4): "e88c5b843671661a",
-    ("gauge", 6): "3cfbb044a45bbf41",
-    ("gauge", 8): "5ad59c9f3411d5ce",
+    ("gauge", 3): ("ce6c1f6fa8077b3e", "b3f70bfa7eafb776"),
+    ("gauge", 4): ("1c16d2dfef63e2b1", "e792c9c13895a0b5"),
+    ("gauge", 6): ("a19f9d343ac7a8c1", "aff5f7603e290985"),
+    ("gauge", 8): ("17ae0356899f4288", "763a22e073f12f03"),
 }
 
 
@@ -198,12 +205,18 @@ def _pinned_run(kind, n):
         simulate_polar(dim, 0.09, D, cfg)
 
 
-def _digest(samples):
+def _sha(*chunks):
     h = hashlib.sha256()
-    for a in (samples.tau_steps, samples.phi_exit, samples.gauge_integral):
-        h.update(b"" if a is None else a.tobytes())
-    h.update(f"{samples.total_steps} {samples.clamped_steps}".encode())
+    for c in chunks:  # arrays hash their contiguous bytes
+        h.update(c)
     return h.hexdigest()[:16]
+
+
+def _digest(s):
+    counts = f"{s.total_steps} {s.clamped_steps}".encode()
+    if s.gauge_integral is None:
+        return _sha(s.tau_steps, s.phi_exit, counts)
+    return _sha(s.tau_steps, counts), _sha(s.gauge_integral)
 
 
 @pytest.mark.parametrize("kind, n", list(_STREAM_DIGESTS))
@@ -338,10 +351,17 @@ def test_schemes_agree_mutually():
         assert abs(est_c[k] - est_p[k]) < 4 * math.hypot(se_c[k], se_p[k])
 
 
-def test_gauge_matches_poisson_coefficient():
+def test_gauge_matches_poisson_coefficient(made):
     cfg = SdeConfig(dt=1e-3, n_paths=30000, seed=11, scheme="polar")
     est, se = estimate_gauge(DIM4, 1, 0.09, BALL4, cfg)
     assert abs(est - poisson_coefficient(BALL4, 1, 0.3)) < 4 * se
+    # k enters the gauge only as the factor k(k+n-2) on the clock J, so the
+    # J of this one chain gives the gauge of every order
+    (s,) = made
+    for k in (1, 2, 3):
+        vals = np.exp(-k * (k + 2) * s.gauge_integral)
+        se = vals.std(ddof=1) / math.sqrt(len(vals))
+        assert abs(vals.mean() - poisson_coefficient(BALL4, k, 0.3)) < 4 * se
 
 
 def test_grid_exit_bias_shrinks_with_dt():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 from hypothesis import given, settings, strategies as st
+from reference_helpers import gegenbauer
 
 from hypball.geometry import unit_sphere_area
 from hypball.specfun import (
@@ -14,7 +15,6 @@ from hypball.specfun import (
     F_k,
     G_k,
     _f_pair,
-    gegenbauer,
     gegenbauer_at_one,
     gegenbauer_sequence,
     wronskian_residual,
