@@ -325,22 +325,13 @@ def _cmd_identity_check(cfg):
 
 
 def _conj2_probes(dim, r2):
-    """Rectangles with analytically known zero counts at z = r^2."""
-    if dim.n == 4:
-        root = -2.0 / (1.0 - r2)
-        return [
-            ((root - 1.0, root + 1.0, -1.0, 1.0), 1),
-            ((root + 1.0, -0.5, -1.0, 1.0), 0),
-        ]
+    """Rectangles with known zero counts at z = r^2: one around the int(rho)
+    zeros -b +- c of F_k(r^2) in k, which the Laplace weight holds as the
+    poles of H (n = 4: c = 0), and one right of them that holds none."""
     w = laplace_weight(dim, 0.0, r2)
-    b, c = w.b, w.c_or_ctilde
-    if w.regime == "cosh-sinh":
-        rect = (-b - c - 0.5, -b + c + 0.5, -1.0, 1.0)
-    elif w.regime == "critical":
-        rect = (-b - 0.5, -b + 0.5, -1.0, 1.0)
-    else:
-        rect = (-b - 0.5, -b + 0.5, -c - 0.5, c + 0.5)
-    return [(rect, 2), ((-b + c + 0.75, -0.25, -1.0, 1.0), 0)]
+    re, im = abs(w.c.real), abs(w.c.imag)
+    return [((-w.b - re - 0.5, -w.b + re + 0.5, -im - 1.0, im + 1.0), int(dim.rho)),
+            ((-w.b + re + 0.75, -0.25, -1.0, 1.0), 0)]
 
 
 def _cmd_conjecture_scan(cfg):
@@ -520,6 +511,8 @@ def run(cfg):
     """Execute one resolved RunConfig; returns the process exit status."""
     try:
         columns, rows, meta = _HANDLERS[cfg.command](cfg)
+        if not rows:  # an empty table would read as a pass
+            raise ValueError(f"no {cfg.command} row applies to n={cfg.n}")
     except ValueError as exc:
         return _error_record(2, exc)
     except (ArithmeticError, RuntimeError) as exc:

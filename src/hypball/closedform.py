@@ -21,6 +21,9 @@ from .specfun import F_k
 # the weight formula itself needs no band
 _CRITICAL_BAND = 1e-12
 
+# boundary nodes of a first winding count, doubled until two windings agree
+_WINDING_NODES = 4096
+
 
 @dataclass(frozen=True)
 class QuadratureControl:
@@ -245,11 +248,6 @@ class LaplaceWeight:
             return "critical"
         return "cosh-sinh" if self.c2 > 0 else "oscillatory"
 
-    @property
-    def c_or_ctilde(self):
-        """|c|: c for the cosh-sinh shape, c~ for the oscillatory one."""
-        return abs(self.c)
-
 
 def laplace_weight(dim, x2, r2):
     """Build w_{|x|^2, r^2} for n in {4, 6}.
@@ -459,11 +457,11 @@ def conjecture1_residual(dim, z, k):
     return k * k * abs(f - expansion)
 
 
-def conjecture2_zero_count(dim, z, rect, nodes=4096):
+def conjecture2_zero_count(dim, z, rect):
     """Count zeros of F_k(z), as a function of complex k, inside the
     rectangle rect = (re_lo, re_hi, im_lo, im_hi) by the argument
-    principle (phase winding along the boundary, node count doubled until
-    the winding number stabilizes near an integer).
+    principle (phase winding along the boundary, node count doubled from
+    _WINDING_NODES until the winding number stabilizes near an integer).
 
     For even n the Gamma-cleared polynomial form is used, so the trivial
     zeros that 1/Gamma factors contribute to f_z are not counted; they are
@@ -491,7 +489,7 @@ def conjecture2_zero_count(dim, z, rect, nodes=4096):
             return _cleared_polynomial(dim, z, ks)
         return np.array([f_entire(dim, z, complex(kk)) for kk in ks])
 
-    m = nodes
+    m = _WINDING_NODES
     prev = None
     while m <= 2**20:
         vals = values(boundary(m))

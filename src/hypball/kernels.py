@@ -83,7 +83,8 @@ def poisson_coefficient(D, k, ax):
         (ax/r)^k F_k(ax^2) / F_k(r^2).
 
     Equals the expectation of C_k(cos angle at exit) / C_k(1). An integer
-    array k gives the array of coefficients.
+    array k gives the array of coefficients. At ax = 0 it is exactly 1 at
+    k = 0 and 0 above, as 0.0**0 = F_k(0) = F_0(r^2) = 1.
     """
     k = _as_order(k)
     if not 0 <= ax < D.r:
@@ -91,8 +92,6 @@ def poisson_coefficient(D, k, ax):
     fr = _at_boundary(F_k, D.dim, k, D.r**2)
     if np.any(np.abs(fr) < 1e-14):
         raise RuntimeError("F_k(r^2) vanished; radial solution is corrupt")
-    if ax == 0.0:
-        return float(k == 0) if np.ndim(k) == 0 else (k == 0).astype(float)
     return _powers(ax / D.r, k) * F_k(D.dim, k, ax**2) / fr
 
 

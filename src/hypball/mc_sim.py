@@ -23,6 +23,7 @@ import numpy as np
 from .specfun import _as_order, gegenbauer_at_one, gegenbauer_sequence
 
 _BLOCK = 1 << 14
+_POLE_SUBSTEPS = 4  # pole substeps; each draws n-1 normals of the seeded stream
 
 # scheme discriminators folded into the Philox key so the three kinds of
 # simulation never share a stream even under the same seed
@@ -275,9 +276,9 @@ def simulate_cartesian(dim, x0, D, cfg):
     return _simulate(cfg, _STREAM_CARTESIAN, (x0v, ax0), step)
 
 
-def _polar_grid_core(dim, R0, phi0, D, cfg):
-    """Plain Euler-Maruyama loop for the polar pair (R, Phi), exit at the
-    first grid crossing."""
+def _polar_grid_core(dim, R0, D, cfg):
+    """Plain Euler-Maruyama loop for the polar pair (R, Phi) from (R0, 1),
+    exit at the first grid crossing."""
     n = dim.n
     r2 = D.r**2
     root = math.sqrt(2 * cfg.dt)
@@ -300,7 +301,7 @@ def _polar_grid_core(dim, R0, phi0, D, cfg):
         exited = Rn >= r2
         return (Rn, phi), exited, phi[exited], clamps
 
-    return _simulate(cfg, _STREAM_POLAR, (R0, phi0), step)
+    return _simulate(cfg, _STREAM_POLAR, (R0, 1.0), step)
 
 
 def _cot_minus_inv(x):
@@ -339,16 +340,16 @@ def _mean_crossing_fraction(delta0, delta1):
     return np.clip(est, 0.0, 1.0)
 
 
-def _sphere_angle_step(theta, f_dt, rng, n, m_sub=4):
+def _sphere_angle_step(theta, f_dt, rng, n):
     """One weak step of the polar angle of a sphere Brownian motion run
     for rate-time f_dt (one entry per path): theta solves
     dtheta = sqrt(2f) dW + (n-2) f cot(theta) dt. Away from the poles the
     cot drift is handled by a predictor-corrector (weak second order, the
     diffusion coefficient being constant); within five standard
-    deviations of a pole, where cot is stiff, the step is taken as m_sub
-    flat (n-1)-dimensional embedding substeps with the curvature drift
-    correction (n-2) f dt (cot theta - 1/theta), regular at the pole.
-    Mirror symmetry folds everything onto [0, pi/2] first."""
+    deviations of a pole, where cot is stiff, the step is taken as
+    _POLE_SUBSTEPS flat (n-1)-dimensional embedding substeps with the
+    curvature drift correction (n-2) f dt (cot theta - 1/theta), regular
+    at the pole. Mirror symmetry folds everything onto [0, pi/2] first."""
     s = np.sqrt(2.0 * f_dt)
     upper = theta > 0.5 * math.pi
     th = np.where(upper, math.pi - theta, theta)
@@ -365,10 +366,10 @@ def _sphere_angle_step(theta, f_dt, rng, n, m_sub=4):
         th[far] = np.abs(t0 + 0.5 * (b0 + b1) + sxi)
     if pole.size:
         t0 = th[pole]
-        fm = f_dt[pole] / m_sub
+        fm = f_dt[pole] / _POLE_SUBSTEPS
         sm = np.sqrt(2.0 * fm)
         # one draw for all substeps, in stream order, read coordinate-major
-        xi = rng.standard_normal((m_sub, pole.size, n - 1)).transpose(0, 2, 1)
+        xi = rng.standard_normal((_POLE_SUBSTEPS, pole.size, n - 1)).transpose(0, 2, 1)
         for z in xi:
             flat = np.sqrt((t0 + sm * z[0]) ** 2 + sm * sm * _coord_sum(z[1:] ** 2))
             t0 = np.abs(flat + (n - 2) * fm * _cot_minus_inv(t0))
@@ -377,7 +378,7 @@ def _sphere_angle_step(theta, f_dt, rng, n, m_sub=4):
     return np.where(upper, math.pi - th, th)
 
 
-def _polar_bridge_core(dim, R0, theta0, D, cfg, stream):
+def _polar_bridge_core(dim, R0, D, cfg, stream, gauge=False):
     """Exit-bias-corrected polar simulation. The radial motion runs in the
     geodesic coordinate S = atanh(sqrt(R)), where the diffusion
     coefficient is constant (dS = sqrt(2) dW + 2(n-1) coth(2S) dt), so
@@ -387,8 +388,8 @@ def _polar_bridge_core(dim, R0, theta0, D, cfg, stream):
     additive noise; freezing the drift at the step start instead leaves
     an O(dt) error in the exit law that is visible at 10^6 paths. The
     squared angular rate f(R) = (1-R)^2/R is accrued trapezoidally over
-    each step and drives the sphere-angle step, or, with theta0 None (a
-    gauge chain, no angle step), adds up to the clock J. An exit step is
+    each step and drives the sphere-angle step from theta = 0, or, with
+    gauge set (no angle step), adds up to the clock J. An exit step is
     charged only up to the crossing: the trapezoid endpoint sits on the
     barrier and the charge is scaled by the conditional mean crossing
     fraction given the step endpoints. Charging the full step would bias
@@ -399,7 +400,6 @@ def _polar_bridge_core(dim, R0, theta0, D, cfg, stream):
     S_bar = math.atanh(D.r)
     S_floor = math.atanh(math.sqrt(cfg.r_floor))
     root = math.sqrt(2 * cfg.dt)
-    gauge = theta0 is None
 
     def step(state, rng):
         S, theta = state  # theta holds the clock J on a gauge chain
@@ -436,10 +436,10 @@ def _polar_bridge_core(dim, R0, theta0, D, cfg, stream):
         return (Sn, theta), exited, value, clamps
 
     S0 = math.atanh(math.sqrt(R0))
-    return _simulate(cfg, stream, (S0, 0.0 if gauge else theta0), step, gauge)
+    return _simulate(cfg, stream, (S0, 0.0), step, gauge)
 
 
-def simulate_polar(dim, R0, D, cfg, phi0=1.0):
+def simulate_polar(dim, R0, D, cfg):
     """Simulates the polar pair
 
         dR   = 2 (1-R) (sqrt(R) dW1 + ((n-4) R + n) dt)
@@ -455,17 +455,15 @@ def simulate_polar(dim, R0, D, cfg, phi0=1.0):
     predictor-corrector drift, Brownian-bridge exit tests and exit steps
     charged to the mean crossing fraction, the angle theta = arccos(Phi)
     by a weak second-order sphere step driven by the trapezoidal accrual
-    of the rate (1-R)^2/R. The axial start Phi0 = 1 needs no special casing: the
-    angular diffusion vanishes there and the drift points inward."""
+    of the rate (1-R)^2/R. The start on the axis, Phi = 1, needs no special
+    casing: the angular diffusion vanishes there and the drift points in."""
     _check_ball(dim, D)
-    if not -1 <= phi0 <= 1:
-        raise ValueError("phi0 must lie in [-1, 1]")
     r2 = D.r**2
     if not 0 < R0 < r2:
         raise ValueError("needs R0 in (0, r^2)")
     if cfg.exit_mode == "grid":
-        return _polar_grid_core(dim, R0, phi0, D, cfg)
-    return _polar_bridge_core(dim, R0, math.acos(phi0), D, cfg, _STREAM_POLAR)
+        return _polar_grid_core(dim, R0, D, cfg)
+    return _polar_bridge_core(dim, R0, D, cfg, _STREAM_POLAR)
 
 
 def estimate_gauge(dim, k, R0, D, cfg):
@@ -481,7 +479,7 @@ def estimate_gauge(dim, k, R0, D, cfg):
         raise ValueError("needs R0 in (0, r^2)")
     if cfg.exit_mode != "bridge":
         raise ValueError("the gauge needs exit_mode 'bridge'")
-    samples = _polar_bridge_core(dim, R0, None, D, cfg, _STREAM_GAUGE + k)
+    samples = _polar_bridge_core(dim, R0, D, cfg, _STREAM_GAUGE + k, gauge=True)
     if samples.censored_fraction > 1e-3:
         warnings.warn(
             f"censored fraction {samples.censored_fraction:.2e} exceeds 1e-3",

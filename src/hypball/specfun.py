@@ -204,23 +204,17 @@ def G_k(dim, k, z):
 
 
 def gegenbauer_sequence(v, kmax, x):
-    """All of C_0^(v)(x) .. C_kmax^(v)(x) in one sweep.
+    """All of C_0^(v)(x) .. C_kmax^(v)(x), v > 0, in one sweep.
 
     x may be a scalar or an array; the result has shape (kmax+1,) + x.shape.
     A scalar x runs the recurrence on Python floats.
     """
+    if v <= 0:
+        raise ValueError("needs v > 0")
     x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
     out = np.empty((kmax + 1,) + np.shape(x))
     out[0] = 1.0
     if kmax < 1:
-        return out
-    if v == 0:
-        # 2 T_k / k with T_k by its own recurrence
-        t_prev, t = 1.0, x
-        out[1] = 2.0 * t
-        for k in range(2, kmax + 1):
-            t_prev, t = t, 2 * x * t - t_prev
-            out[k] = 2.0 * t / k
         return out
     c_prev, c = 1.0, 2 * v * x
     out[1] = c

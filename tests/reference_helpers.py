@@ -15,12 +15,21 @@ from hypball.specfun import Dimension, _as_order, gegenbauer_at_one, gegenbauer_
 def gegenbauer(v, k, x):
     """Gegenbauer polynomial C_k^(v)(x) by the three-term recurrence.
 
-    The v=0 convention is the Chebyshev limit: C_0^(0) = 1 and
-    C_k^(0)(x) = 2 T_k(x)/k for k >= 1.
+    The package needs v > 0 only. The logarithmic expansion of
+    test_accept_08 also takes v = 0, here in the Chebyshev limit:
+    C_0^(0) = 1 and C_k^(0)(x) = 2 T_k(x)/k for k >= 1, with T_k by its
+    own recurrence.
     """
-    if v < 0:
-        raise ValueError("needs v >= 0")
-    return float(gegenbauer_sequence(v, _as_order(k), x)[-1])
+    k = _as_order(k)
+    if v != 0:
+        return float(gegenbauer_sequence(v, k, x)[-1])
+    if k == 0:
+        return 1.0
+    x = float(x)
+    t_prev, t = 1.0, x
+    for _ in range(k - 1):
+        t_prev, t = t, 2 * x * t - t_prev
+    return 2.0 * t / k
 
 
 def hyperbolic_distance(x, y):

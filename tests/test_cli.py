@@ -282,3 +282,39 @@ def test_green_eval_at_equal_radii(tmp_path):
     values = [float(r[1]) for r in rows]
     assert len(values) == 64
     assert all(math.isfinite(v) and v > 0 for v in values)
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjecture-scan", "--n", "3"],
+    ["identity-check", "--suite", "laplace", "--n", "5"],
+    ["identity-check", "--suite", "normalization", "--n", "7..8"],
+    ["conjecture-scan", "--n", "8", "--which", "2"],
+])
+def test_empty_selections_exit_2(tmp_path, capsys, argv):
+    # no row of the suite or probe applies to these n; an empty table
+    # would report pass=true
+    out = tmp_path / "out.csv"
+    assert run(parse_config(argv + ["--output", str(out)])) == 2
+    rec = json.loads(capsys.readouterr().err)
+    n = argv[argv.index("--n") + 1]
+    assert rec == {"error": "ValueError", "status": 2,
+                   "message": f"no {argv[0]} row applies to n={n}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r", [0.2, math.sqrt(7 - 4 * math.sqrt(3)), 0.6, 0.95])
+def test_conjecture_scan_counts_the_known_zeros(tmp_path, r):
+    # per n, one rectangle around the zeros of F_k(r^2) in k and one right
+    # of them; the radii span both shapes of the n = 6 pair and its double
+    # zero at the critical radius
+    out = tmp_path / "c.csv"
+    argv = ["conjecture-scan", "--which", "2", "--n", "4..6", "--r", repr(r),
+            "--x", "0.1", "--output", str(out)]
+    assert run(parse_config(argv)) == 0
+    header, _, rows = read_table(out)
+    assert "# pass=true" in header
+    assert [row[:3] for row in rows] == [
+        ["conj2", "4", "1"], ["conj2", "4", "0"],
+        ["conj2", "6", "2"], ["conj2", "6", "0"],
+    ]
+    assert all(row[3] == row[2] and row[4] == "true" for row in rows)

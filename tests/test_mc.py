@@ -95,8 +95,6 @@ def test_simulate_polar_start_validation():
     cfg = SdeConfig(dt=1e-3, n_paths=4, seed=1, scheme="polar")
     with pytest.raises(ValueError, match="R0"):
         simulate_polar(DIM4, 0.36, BALL4, cfg)
-    with pytest.raises(ValueError, match="phi0"):
-        simulate_polar(DIM4, 0.09, BALL4, cfg, phi0=1.5)
 
 
 def test_simulators_reject_mismatched_dimensions():

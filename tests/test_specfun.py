@@ -222,7 +222,8 @@ def test_gegenbauer_bounded_by_value_at_one(v, k, x):
 
 
 def test_gegenbauer_chebyshev_limit():
-    # v=0 convention: C_k^(0) = 2 T_k / k
+    # v=0 convention of the test helper (test_accept_08's log expansion):
+    # C_k^(0) = 2 T_k / k
     for k in (1, 2, 5, 9):
         for x in (-0.8, 0.1, 0.99):
             expect = 2 * math.cos(k * math.acos(x)) / k
@@ -239,6 +240,8 @@ def test_gegenbauer_at_one():
             assert seq[k] == pytest.approx(gegenbauer_at_one(v, k), rel=1e-13)
     with pytest.raises(ValueError):
         gegenbauer_at_one(0.0, 2)
+    with pytest.raises(ValueError, match="v > 0"):
+        gegenbauer_sequence(0.0, 2, 0.3)
 
 
 def test_gegenbauer_ratio_at_one():
@@ -287,11 +290,3 @@ def test_generating_function_dn():
         assert total == pytest.approx(
             (1 - 2 * t * c + t * t) ** (-rho), rel=1e-10
         )
-
-
-def test_generating_function_log():
-    # -log d identity at rho = 0: sum_{k>=1} t^k C_k^(0)(c)/2 = -log(sqrt(1-2tc+t^2))
-    t, c = 0.5, 0.2
-    seq = gegenbauer_sequence(0.0, 500, np.array(c))
-    total = 0.5 * np.sum(seq[1:] * np.power(t, np.arange(1, 501)))
-    assert total == pytest.approx(-0.5 * math.log(1 - 2 * t * c + t * t), abs=1e-12)
