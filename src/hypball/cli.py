@@ -10,6 +10,7 @@ Reals are written with 17 significant digits and nothing in the output
 depends on the clock."""
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -142,8 +143,8 @@ def _plane_rows(n, polar):
     """(m, n) array of the points (radius cos theta, radius sin theta, 0, ...)
     for the (radius, theta) pairs in polar."""
     rows = np.zeros((len(polar), n))
-    for row, (radius, theta) in zip(rows, polar):
-        row[:2] = radius * math.cos(theta), radius * math.sin(theta)
+    rows[:, 0] = [radius * math.cos(theta) for radius, theta in polar]
+    rows[:, 1] = [radius * math.sin(theta) for radius, theta in polar]
     return rows
 
 
@@ -219,6 +220,22 @@ def _cmd_mc_validate(cfg):
     return ("k", "analytic", "empirical", "std_error", "z_score"), rows, meta
 
 
+# the n each suite or probe covers where it does not cover all of 3..8
+_COVERS = {"normalization": (3, 4, 5, 6), "laplace": (4, 6), "conj1": (4, 6, 8),
+           "conj2": (4, 6)}
+
+
+def _covered(cfg, name, skipped=False):
+    """The requested dimensions that suite or probe name covers (or skips)."""
+    return [d for d in cfg.dims() if (d.n in _COVERS.get(name, range(3, 9))) != skipped]
+
+
+def _skipped(cfg, names):
+    """Meta naming each requested n that a selected suite or probe skips."""
+    s = ",".join(f"{name}:{d.n}" for name in names for d in _covered(cfg, name, True))
+    return {"skipped": s} if s else {}
+
+
 def _suite_wronskian(cfg):
     rows = []
     zs = [0.05 * j for j in range(1, 20)]
@@ -230,19 +247,23 @@ def _suite_wronskian(cfg):
     return ("n", "k", "max_residual", "bound", "pass"), rows
 
 
-def _suite_normalization(cfg):
+@functools.cache
+def _half_turn_rule():
+    """Shared 192-node Gauss-Legendre nodes on (0, pi), weights on (-1, 1)."""
     nodes, wts = np.polynomial.legendre.leggauss(192)
-    theta = 0.5 * math.pi * (nodes + 1.0)
+    return 0.5 * math.pi * (nodes + 1.0), wts
+
+
+def _suite_normalization(cfg):
+    theta, wts = _half_turn_rule()
     ctl = cfg.series()
     rows = []
-    for dim in cfg.dims():
-        if dim.n > 6:
-            continue
+    for dim in _covered(cfg, "normalization"):
         for r in (0.3, 0.6, 0.9):
             D = BallDomain(dim, r)
+            ys = _plane_rows(dim.n, [(r, t) for t in theta])
             for frac in (0.0, 1.0 / 3.0, 2.0 / 3.0):
                 x = _axis_point(dim.n, frac * r)
-                ys = _plane_rows(dim.n, [(r, t) for t in theta])
                 vals = poisson_kernel(D, x, ys, ctl)
                 integral = (
                     unit_sphere_area(dim.n - 2) * r ** (dim.n - 1)
@@ -258,9 +279,7 @@ def _suite_laplace(cfg):
     rows = []
     radii = {4: (0.6,), 6: (0.2, math.sqrt(7 - 4 * math.sqrt(3)), 0.6)}
     qctl = QuadratureControl(abs_tol=1e-12)
-    for dim in cfg.dims():
-        if dim.n not in radii:
-            continue
+    for dim in _covered(cfg, "laplace"):
         # the gamma-free point k = -rho still lies in the convergence strip
         # because w decays faster than exp(rho v) grows
         ks = [0, 1, 2, 3, 5, 10, -dim.rho]
@@ -321,7 +340,7 @@ _SUITES = {
 def _cmd_identity_check(cfg):
     columns, rows = _SUITES[cfg.suite](cfg)
     ok = all(row[-1] for row in rows)
-    return columns, rows, {"pass": ok, "suite": cfg.suite}
+    return columns, rows, {"pass": ok, "suite": cfg.suite, **_skipped(cfg, [cfg.suite])}
 
 
 def _conj2_probes(dim, r2):
@@ -338,9 +357,7 @@ def _cmd_conjecture_scan(cfg):
     rows = []
     zs = [0.1 * j for j in range(1, 10)]
     if cfg.which in ("1", "both"):
-        for dim in cfg.dims():
-            if dim.n not in (4, 6, 8):
-                continue
+        for dim in _covered(cfg, "conj1"):
             for k in (1, 2, 5, 10, 20, 50, 100, 200, 500):
                 worst = max(conjecture1_residual(dim, z, k) for z in zs)
                 # the n=4 identity is exact; the k^2 factor amplifies the
@@ -349,15 +366,14 @@ def _cmd_conjecture_scan(cfg):
                 bound = 1e-12 if dim.n == 4 and k <= 50 else 100.0
                 rows.append(("conj1", dim.n, float(k), worst, worst <= bound))
     if cfg.which in ("2", "both"):
-        for dim in cfg.dims():
-            if dim.n not in (4, 6):
-                continue
+        for dim in _covered(cfg, "conj2"):
             for rect, expected in _conj2_probes(dim, cfg.r**2):
                 count = conjecture2_zero_count(dim, cfg.r**2, rect)
                 rows.append(("conj2", dim.n, float(expected), float(count),
                              count == expected))
-    ok = all(row[-1] for row in rows)
-    return ("probe", "n", "parameter", "value", "pass"), rows, {"pass": ok}
+    probes = [p for p in ("conj1", "conj2") if cfg.which in (p[-1], "both")]
+    meta = {"pass": all(row[-1] for row in rows), **_skipped(cfg, probes)}
+    return ("probe", "n", "parameter", "value", "pass"), rows, meta
 
 
 _HANDLERS = {
@@ -386,11 +402,8 @@ def _config_echo(cfg):
 
 def _write_csv(path, cfg, columns, rows, meta):
     lines = [f"# hypball {__version__}", f"# {_config_echo(cfg)}"]
-    for key in sorted(meta):
-        lines.append(f"# {key}={_fmt(meta[key])}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [f"# {key}={_fmt(meta[key])}" for key in sorted(meta)]
+    lines += [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -406,8 +419,7 @@ def _write_json(path, cfg, columns, rows, meta):
         "rows": [dict(zip(columns, row)) for row in rows],
     }
     with open(path, "w", newline="\n") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+        f.write(json.dumps(doc, indent=2) + "\n")
 
 
 # flag and config-file spellings that are not the field name
@@ -437,8 +449,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _build_parser():
-    """One flag per RunConfig field but command, typed by the field."""
+    """One flag per RunConfig field but command, typed by the field. Built once
+    and shared by every parse_config call: callers must not mutate it."""
     p = _Parser(
         prog="hypball",
         description="Poisson kernels and Green functions of balls for "

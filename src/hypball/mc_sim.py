@@ -307,10 +307,10 @@ def _polar_grid_core(dim, R0, D, cfg):
 def _cot_minus_inv(x):
     """cot x - 1/x, regular at the origin."""
     small = x < 0.05
-    xs = np.where(small, x, 1.0)
-    series = -xs / 3.0 - xs**3 / 45.0
     xd = np.where(small, 1.0, x)
-    return np.where(small, series, 1.0 / np.tan(xd) - 1.0 / xd)
+    out = 1.0 / np.tan(xd) - 1.0 / xd
+    out[small] = -x[small] / 3.0 - x[small] ** 3 / 45.0
+    return out
 
 
 _CROSS_NODES, _CROSS_WTS = np.polynomial.legendre.leggauss(96)
@@ -368,10 +368,11 @@ def _sphere_angle_step(theta, f_dt, rng, n):
         t0 = th[pole]
         fm = f_dt[pole] / _POLE_SUBSTEPS
         sm = np.sqrt(2.0 * fm)
-        # one draw for all substeps, in stream order, read coordinate-major
-        xi = rng.standard_normal((_POLE_SUBSTEPS, pole.size, n - 1)).transpose(0, 2, 1)
-        for z in xi:
-            flat = np.sqrt((t0 + sm * z[0]) ** 2 + sm * sm * _coord_sum(z[1:] ** 2))
+        sm2 = sm * sm
+        # one draw for all substeps, in stream order, laid out coordinate-major
+        xi = rng.standard_normal((_POLE_SUBSTEPS, pole.size, n - 1))
+        for z in np.ascontiguousarray(xi.transpose(0, 2, 1)):
+            flat = np.sqrt((t0 + sm * z[0]) ** 2 + sm2 * _coord_sum(z[1:] ** 2))
             t0 = np.abs(flat + (n - 2) * fm * _cot_minus_inv(t0))
         th[pole] = t0
     th = np.minimum(th, math.pi - 1e-12)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import hypball
-from hypball.cli import RunConfig, _build_parser, main, parse_config, run
+from hypball.cli import (RunConfig, _build_parser, _write_csv, _write_json, main,
+                         parse_config, run)
 from hypball.geometry import BallDomain, unit_sphere_area
 from hypball.kernels import poisson_coefficient
 from hypball.specfun import Dimension
@@ -182,13 +183,100 @@ def test_json_document_structure(tmp_path):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    out = tmp_path / "mc.json"
-    argv = ["mc-validate", "--paths", "2000", "--dt", "2e-3", "--kmax", "3",
-            "--format", "json", "--output", str(out)]
-    assert run(parse_config(argv)) == 0
-    first = out.read_bytes()
-    assert run(parse_config(argv)) == 0
-    assert out.read_bytes() == first
+    # each command twice in one process: the shared parser and quadrature
+    # rule carry nothing from one call into the next
+    for argv in (["mc-validate", "--paths", "2000", "--dt", "2e-3", "--kmax", "3",
+                  "--format", "json"],
+                 ["pk-eval"],
+                 ["pk-closed", "--format", "json"],
+                 ["green-eval"],
+                 ["identity-check", "--suite", "normalization", "--n", "4..5"]):
+        out = tmp_path / "out"
+        argv = argv + ["--output", str(out)]
+        assert run(parse_config(argv)) == 0
+        first = out.read_bytes()
+        assert run(parse_config(argv)) == 0
+        assert out.read_bytes() == first
+
+
+def test_parser_is_shared_and_keeps_no_flag():
+    assert _build_parser() is _build_parser()
+    first = parse_config(["coeffs", "--y", "0.2", "--format", "json"])
+    assert (first.y, first.format, first.output) == (0.2, "json", "./coeffs.json")
+    second = parse_config(["coeffs"])
+    assert second == RunConfig(command="coeffs", k_max=10, output="./coeffs.csv")
+
+
+def test_writers_are_pinned(tmp_path):
+    cfg = RunConfig(command="coeffs", output="table.csv")
+    columns = ("k", "flag", "value")
+    rows = [(0, True, 0.1 + 0.2), (1, False, math.nan), (2, True, math.inf)]
+    meta = {"pass": False, "max_abs_z": 1 / 3}
+    _write_csv(tmp_path / "t.csv", cfg, columns, rows, meta)
+    _write_json(tmp_path / "t.json", cfg, columns, rows, meta)
+    v = hypball.__version__
+    assert (tmp_path / "t.csv").read_bytes().decode() == f"""\
+# hypball {v}
+# command=coeffs n=4 r=0.59999999999999998 x=0.29999999999999999 y=None \
+theta_grid=64 k_max=2000 series_tol=1e-10 quad_tol=1e-10 \
+dt=0.00050000000000000001 n_paths=100000 seed=12345 max_steps=20000 \
+scheme=cartesian exit_mode=bridge suite=wronskian which=both output=table.csv \
+format=csv
+# max_abs_z=0.33333333333333331
+# pass=false
+k,flag,value
+0,true,0.30000000000000004
+1,false,nan
+2,true,inf
+"""
+    assert (tmp_path / "t.json").read_bytes().decode() == f"""\
+{{
+  "meta": {{
+    "tool": "hypball",
+    "version": "{v}",
+    "config": {{
+      "command": "coeffs",
+      "n": "4",
+      "r": 0.6,
+      "x": 0.3,
+      "y": null,
+      "theta_grid": 64,
+      "k_max": 2000,
+      "series_tol": 1e-10,
+      "quad_tol": 1e-10,
+      "dt": 0.0005,
+      "n_paths": 100000,
+      "seed": 12345,
+      "max_steps": 20000,
+      "scheme": "cartesian",
+      "exit_mode": "bridge",
+      "suite": "wronskian",
+      "which": "both",
+      "output": "table.csv",
+      "format": "csv"
+    }},
+    "pass": false,
+    "max_abs_z": 0.3333333333333333
+  }},
+  "rows": [
+    {{
+      "k": 0,
+      "flag": true,
+      "value": 0.30000000000000004
+    }},
+    {{
+      "k": 1,
+      "flag": false,
+      "value": NaN
+    }},
+    {{
+      "k": 2,
+      "flag": true,
+      "value": Infinity
+    }}
+  ]
+}}
+"""
 
 
 def test_mc_validate_report(tmp_path, capsys):
@@ -318,3 +406,23 @@ def test_conjecture_scan_counts_the_known_zeros(tmp_path, r):
         ["conj2", "6", "2"], ["conj2", "6", "0"],
     ]
     assert all(row[3] == row[2] and row[4] == "true" for row in rows)
+
+
+@pytest.mark.parametrize("argv, skipped, ran", [
+    (["conjecture-scan", "--which", "2", "--n", "4..8"], "conj2:5,conj2:7,conj2:8",
+     {"4", "6"}),
+    (["identity-check", "--suite", "normalization", "--n", "3..8"],
+     "normalization:7,normalization:8", {"3", "4", "5", "6"}),
+    (["identity-check", "--suite", "normalization", "--n", "4..6"], None,
+     {"4", "5", "6"}),
+])
+def test_skipped_dimensions_are_named(tmp_path, argv, skipped, ran):
+    # a requested n that the suite or probe does not cover is named in the
+    # header, and the key is absent when every n ran
+    out = tmp_path / "out.csv"
+    assert run(parse_config(argv + ["--output", str(out)])) == 0
+    header, _, rows = read_table(out)
+    assert "# pass=true" in header
+    assert [h for h in header if h.startswith("# skipped=")] == (
+        [f"# skipped={skipped}"] if skipped else [])
+    assert {row[1 if argv[0] == "conjecture-scan" else 0] for row in rows} == ran
