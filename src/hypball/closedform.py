@@ -8,9 +8,9 @@ complex-k half-plane).
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -45,14 +45,15 @@ class QuadratureControl:
             raise ValueError("abs_tol must be positive and finite")
 
 
-_GAUSS = [np.polynomial.legendre.leggauss(m) for m in (10, 21)]
-_NODES = np.concatenate([_GAUSS[0][0], _GAUSS[1][0]])
-# rows: the 10-point and the 21-point rule on [-1, 1] over the 31 nodes
-_RULES = np.zeros((2, _NODES.size))
-_RULES[0, :10] = _GAUSS[0][1]
-_RULES[1, 10:] = _GAUSS[1][1]
 # node values evaluated at once; bounds the panel work arrays
 _CHUNK_VALUES = 2**18
+
+
+@functools.cache
+def _panel_rule():
+    """The 31 nodes of 10- and 21-point Gauss-Legendre rules, one weight row each."""
+    (x10, w10), (x21, w21) = (np.polynomial.legendre.leggauss(m) for m in (10, 21))
+    return np.concatenate([x10, x21]), np.block([[w10, np.zeros(21)], [np.zeros(10), w21]])
 
 
 def _integrate_decaying(f, beta, ctl):
@@ -60,19 +61,20 @@ def _integrate_decaying(f, beta, ctl):
     of shape (k,) to values of shape (k, m) that decay like exp(-beta v) or
     faster. All columns share one set of panels; see QuadratureControl."""
     scale = 6.0 / beta  # v = -scale log u, dv = -scale du / u
+    nodes, weights = _panel_rule()
 
     def rules(lo, hi):
         """(21-point value, error estimate) per panel and column."""
         half = 0.5 * (hi - lo)
-        u = (lo + half)[:, None] + half[:, None] * _NODES
+        u = (lo + half)[:, None] + half[:, None] * nodes
         vals = f(-scale * np.log(u.ravel())).reshape(u.shape + (-1,))
-        g = _RULES @ (vals * (scale * half[:, None] / u)[..., None])
+        g = weights @ (vals * (scale * half[:, None] / u)[..., None])
         g10, g21 = g[:, 0], g[:, 1]
         return g21, np.abs(g21 - g10)
 
     lo, hi = np.array([0.0]), np.array([1.0])
     val, err = rules(lo, hi)
-    step = max(1, _CHUNK_VALUES // (_NODES.size * val.shape[1]))  # panels per call
+    step = max(1, _CHUNK_VALUES // (nodes.size * val.shape[1]))  # panels per call
     while True:
         total, est = val.sum(axis=0), err.sum(axis=0)
         unmet = ~(est <= np.maximum(ctl.abs_tol, 1e-12 * np.abs(total)))
@@ -109,13 +111,8 @@ def _cleared_polynomial(dim, z, k):
     k = np.asarray(k, dtype=complex)
     total = np.zeros_like(k)
     for i in range(rho + 1):
-        term = np.ones_like(k)
-        for j in range(i):
-            term = term * (k + j)
-        coef = 1.0
-        for j in range(i):
-            coef *= (-rho + j) / (j + 1)
-        term = term * (coef * z**i)
+        coef = math.prod((-rho + j) / (j + 1) for j in range(i))
+        term = math.prod((k + j for j in range(i)), start=np.ones_like(k)) * (coef * z**i)
         for j in range(i, rho):
             term = term * (k + half_n + j)
         total = total + term
@@ -219,7 +216,7 @@ class LaplaceWeight:
     amp1: float
     amp2: float
 
-    @cached_property
+    @functools.cached_property
     def c(self):
         return cmath.sqrt(self.c2)
 

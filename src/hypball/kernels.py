@@ -57,9 +57,7 @@ def _green_prefactor(dim):
 
 def _powers(q, k):
     """q**k by Python float powers (np.power can differ in the last bit)."""
-    if np.ndim(k) == 0:
-        return q**k
-    return np.array([q**j for j in k.tolist()])
+    return q**k if np.ndim(k) == 0 else np.array([q**j for j in k.tolist()])
 
 
 @functools.lru_cache(maxsize=256)
@@ -147,12 +145,13 @@ def _poisson_table(D, ax, ctl):
 
 
 def _gegenbauer_sums(rho, a, c):
-    """[sum_k a_k C_k^(rho)(c)] for a cosine c (a float), or for each of an
-    array of cosines. An array runs one recurrence, then each point takes
-    the contiguous dot a single cosine takes, so each sum keeps its bits."""
+    """sum_k a_k C_k^(rho)(c) for a cosine c (a float back), or for each of
+    an array of cosines (an array back): one recurrence, then one np.vecdot
+    that takes the dot of a single cosine per contiguous row, bit for bit."""
     ck = gegenbauer_sequence(rho, len(a) - 1, c)
-    cols = [ck] if isinstance(c, float) else np.ascontiguousarray(ck.T)
-    return [float(a @ col) for col in cols]
+    if isinstance(c, float):
+        return float(a @ ck)
+    return np.vecdot(np.ascontiguousarray(ck.T), a)
 
 
 def poisson_kernel(D, x, y, ctl=SeriesControl()):
@@ -166,19 +165,16 @@ def poisson_kernel(D, x, y, ctl=SeriesControl()):
     (m,)); all of them share the one table of |x|.
     """
     ys, single = as_rows(D.dim.n, x, y)
-    r = D.r
-    ax = x.norm
+    r, ax = D.r, x.norm
     if not ax < r:
         raise ValueError("x must lie inside the ball")
-    if not all(abs(ny - r) <= 1e-12 for ny in row_norms(ys)):
+    if not all(abs(ny - r) <= 1e-12 for ny in row_norms(ys).tolist()):
         raise ValueError("y must lie on the sphere |y| = r")
     area = sphere_area(D.dim, r)
     if ax == 0.0:
-        values = [1.0 / area] * len(ys)
-    else:
-        a = _poisson_table(D, ax, ctl)
-        values = [s / area for s in _gegenbauer_sums(D.dim.rho, a, cos_angle(x, y))]
-    return values[0] if single else np.array(values)
+        return 1.0 / area if single else np.full(len(ys), 1.0 / area)
+    a = _poisson_table(D, ax, ctl)
+    return _gegenbauer_sums(D.dim.rho, a, cos_angle(x, y)) / area
 
 
 def _image_coefficient(D, k, ax, ay):
@@ -211,12 +207,11 @@ def green_coefficient(D, k, ax, R):
     array of coefficients.
     """
     k = _as_order(k)
-    r = D.r
+    r, dim, rho = D.r, D.dim, D.dim.rho
     if not (0 <= ax < r and 0 < R < r):
         raise ValueError("needs 0 <= ax < r and 0 < R < r")
     if ax > R:
         ax, R = R, ax
-    dim, rho = D.dim, D.dim.rho
     free = (
         _green_prefactor(dim) * rho / (k + rho) * F_k(dim, k, ax**2)
         * _powers(ax / R, k) * G_k(dim, k, R**2) / R ** (2 * rho)
@@ -251,17 +246,17 @@ def green_function(D, x, y, ctl=SeriesControl()):
     shape (m,)), with one image table per distinct |y|.
     """
     ys, single = as_rows(D.dim.n, x, y)
-    ax, ays = x.norm, row_norms(ys)
+    diffs = x.coords - ys
+    # Python floats from here on: float ** is what a Point call takes
+    ax, ays, d2s = x.norm, row_norms(ys).tolist(), np.vecdot(diffs, diffs).tolist()
     if not (ax < D.r and all(ay < D.r for ay in ays)):
         raise ValueError("both points must lie inside the ball")
-    d2s = [float(diff.dot(diff)) for diff in x.coords - ys]
     if 0.0 in d2s:
         raise ValueError("green function is singular at x = y")
-    dim, rho = D.dim, D.dim.rho
-    rows_at = {}
+    dim, rho, pref = D.dim, D.dim.rho, _green_prefactor(D.dim)
+    rows_at, values = {}, [None] * len(ays)
     for i, ay in enumerate(ays):
         rows_at.setdefault(ay, []).append(i)
-    values = [None] * len(ays)
     for ay, idx in rows_at.items():
         lo, hi = min(ax, ay), max(ax, ay)
         if lo == 0.0:
@@ -271,10 +266,10 @@ def green_function(D, x, y, ctl=SeriesControl()):
             continue
         b = _image_table(D, lo, hi, ctl)
         image = _gegenbauer_sums(rho, b, cos_angle(x, y if single else ys[idx]))
-        for i, s in zip(idx, image):
+        for i, s in zip(idx, np.atleast_1d(image).tolist()):
             # 1 - 2 x.y + |x|^2 |y|^2 = (1 - |x|^2)(1 - |y|^2) + |x - y|^2
             z = d2s[i] / ((1 - ax**2) * (1 - ay**2) + d2s[i])
-            values[i] = _green_prefactor(dim) * _g0_pair(dim, z)[0] / z**rho - s
+            values[i] = pref * _g0_pair(dim, z)[0] / z**rho - s
     return values[0] if single else np.array(values)
 
 
@@ -292,6 +287,5 @@ def poisson_from_green_derivative(D, x, u, h, ctl=SeriesControl()):
     direction = direction / nu
     if not 0 < h < D.r - x.norm:
         raise ValueError("need 0 < h < r - |x|")
-    y_in = Point((D.r - h) * direction)
-    g = green_function(D, x, y_in, ctl)
+    g = green_function(D, x, Point((D.r - h) * direction), ctl)
     return g / (h * (1 - D.r**2) ** (D.dim.n - 2))

@@ -14,6 +14,7 @@ only its per-step update. The Cartesian state is coordinate-major, (n, m),
 and its coordinate sums keep NumPy's path-major row order (_coord_sum).
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -313,10 +314,12 @@ def _cot_minus_inv(x):
     return out
 
 
-_CROSS_NODES, _CROSS_WTS = np.polynomial.legendre.leggauss(96)
-_CROSS_TAN = np.tan(0.25 * math.pi * (_CROSS_NODES + 1.0))
-_CROSS_COT = 1.0 / _CROSS_TAN
-_CROSS_WTS = 0.25 * math.pi * _CROSS_WTS
+@functools.cache
+def _crossing_rule():
+    """tan, cot and weights of a 96-node Gauss-Legendre rule on (0, pi/2)."""
+    nodes, wts = np.polynomial.legendre.leggauss(96)
+    tan = np.tan(0.25 * math.pi * (nodes + 1.0))
+    return tan, 1.0 / tan, 0.25 * math.pi * wts
 
 
 def _mean_crossing_fraction(delta0, delta1):
@@ -331,12 +334,13 @@ def _mean_crossing_fraction(delta0, delta1):
                int_0^{pi/2} exp(-(delta0 tan t - delta1 cot t)^2 / 2) dt,
 
     which a fixed Gauss-Legendre rule integrates to float accuracy."""
-    g = np.multiply.outer(delta0, _CROSS_TAN)
-    h = np.multiply.outer(delta1, _CROSS_COT)
+    tan, cot, wts = _crossing_rule()
+    g = np.multiply.outer(delta0, tan)
+    h = np.multiply.outer(delta1, cot)
     g -= h
     np.multiply(-0.5, g, out=h)
     h *= g
-    est = delta0 * math.sqrt(2.0 / math.pi) * (np.exp(h, out=h) @ _CROSS_WTS)
+    est = delta0 * math.sqrt(2.0 / math.pi) * (np.exp(h, out=h) @ wts)
     return np.clip(est, 0.0, 1.0)
 
 

@@ -5,6 +5,7 @@ ties F_k and G_k together. The one hypergeometric summation kernel is
 _hyp_sweep, the terminating series behind even-n F_k and F_k'; odd-n F_k
 comes from a backward recurrence in k, and odd-n F_k' from F_k and F_(k+1)."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -121,6 +122,16 @@ def F_k(dim, k, z):
 _G0_SPLIT = 0.1
 
 
+@functools.cache
+def _g0_terms(dim):
+    """The c_i and the amplitude a of _g0_pair's small-z form."""
+    n, rho = dim.n, dim.rho
+    c = {i: rho * math.comb(n - 2, i) * (-1) ** (i + 1) / (i - rho)
+         for i in range(n - 1) if i != rho}
+    return c, (rho * math.comb(n - 2, int(rho)) * (-1) ** (n // 2) if dim.is_even
+               else -sum(c.values()))
+
+
 def _g0_pair(dim, z):
     """(G_0(z), G_0'(z)). Below _G0_SPLIT, the finite sum over i != rho of
     c_i z^i, c_i = rho binom(n-2, i) (-1)^(i+1) / (i - rho), plus a z^rho
@@ -139,13 +150,8 @@ def _g0_pair(dim, z):
         h, wdh = float(t.sum()), float(t[1:] @ np.arange(1, size))
         c = rho / (n - 1)
         return c * w ** (n - 1) * h, -c * w ** (n - 2) * ((n - 1) * h + wdh)
-    coeffs = {i: rho * math.comb(n - 2, i) * (-1) ** (i + 1) / (i - rho)
-              for i in range(n - 1) if i != rho}
-    if dim.is_even:
-        amp = rho * math.comb(n - 2, int(rho)) * (-1) ** (n // 2)
-        lz, dlz = math.log(z), 1 / z
-    else:
-        amp, lz, dlz = -sum(coeffs.values()), 1.0, 0.0
+    coeffs, amp = _g0_terms(dim)
+    lz, dlz = (math.log(z), 1 / z) if dim.is_even else (1.0, 0.0)
     val = sum(c * z**i for i, c in coeffs.items()) + amp * z**rho * lz
     dval = sum(i * c * z ** (i - 1) for i, c in coeffs.items() if i > 0)
     dval += amp * (rho * z ** (rho - 1) * lz + z**rho * dlz)

@@ -62,6 +62,15 @@ def test_import_leaves_scipy_special_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the Gauss-Legendre rules of the quadrature, the crossing fraction and
+    # the normalization suite are built on first use, not at import
+    code = "import sys, hypball; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_f_entire_complex_symmetry():
     dim = Dimension(5)
     k = 1.3 + 0.7j

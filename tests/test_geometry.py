@@ -113,3 +113,24 @@ def test_cos_angle():
     assert cos_angle(x, Point([-0.1, 0.0])) == -1.0
     with pytest.raises(ValueError):
         cos_angle(x, Point([0.0, 0.0]))
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_vecdot_matches_row_dots():
+    # row_norms, cos_angle and the kernels' Gegenbauer sums take one
+    # np.vecdot over an array where a Point takes ndarray.dot; the two must
+    # agree bit for bit on coordinate rows of every n the CLI takes, and on
+    # sums of every length up to past the table block edges 63, 191 and 447
+    rng = np.random.default_rng(7)
+    for n in range(3, 9):
+        ys = rng.uniform(-0.5, 0.5, (257, n))
+        x = ys[0].copy()
+        assert same_bits(np.vecdot(ys, ys), [row.dot(row) for row in ys]), n
+        assert same_bits(np.vecdot(ys, x), [x.dot(row) for row in ys]), n
+    for size in [*range(1, 41), 63, 64, 191, 192, 447, 448, 2001]:
+        a = rng.standard_normal(size)
+        cols = np.ascontiguousarray(rng.standard_normal((size, 257)).T)
+        assert same_bits(np.vecdot(cols, a), [a @ col for col in cols]), size

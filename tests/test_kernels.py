@@ -316,7 +316,7 @@ def test_tables_stop_where_the_majorant_tail_meets_tol(n):
 
 
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.95])
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_array_rows_match_single_points(n, r):
     # each row of an array call gives the bits of the Point call for it
     D = ball(n, r)
@@ -334,6 +334,8 @@ def test_array_rows_match_single_points(n, r):
     for fn, x0, rows in cases:
         table = fn(D, x0, np.array(rows))
         assert isinstance(table, np.ndarray) and table.shape == (len(rows),)
+        # column-major rows are strided; they must give the same bits
+        assert fn(D, x0, np.asfortranarray(rows)).tobytes() == table.tobytes()
         for row, value in zip(rows, table.tolist()):
             single = fn(D, x0, Point(row))
             assert type(single) is float and single == value
