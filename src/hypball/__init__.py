@@ -1,8 +1,8 @@
 """Poisson kernels and Green functions of balls for hyperbolic Brownian
 motion on the ball model, computed three independent ways: Gegenbauer
-spectral series, closed-form integral representations (dimensions 4 and 6),
-and Monte Carlo simulation of the underlying stochastic differential
-equations."""
+spectral series, closed-form integral representations (the Poisson kernel
+for even dimensions, the Green function for 4 and 6), and Monte Carlo
+simulation of the underlying stochastic differential equations."""
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,6 @@ from .closedform import (
     H_function,
     conjecture1_residual,
     conjecture2_zero_count,
-    f_entire,
     green_closed_n4,
     green_closed_n6,
     laplace_weight,

@@ -1,11 +1,11 @@
-"""Closed-form route to the kernels for n in {4, 6}: the entire function
-f_z(k) = F_k(z)/Gamma(k+n/2), the H-function remainder of the spectral
-coefficient, its inverse Laplace weight w(v), integral representations of
-the Poisson kernel and the Green functions (via the Kelvin point
-y* = r^2 y/|y|^2), and numerical probes of the two hypotheses behind the
-construction (the large-k expansion of F_k and zero-freeness of F_k in a
-complex-k half-plane).
-"""
+"""Closed-form route to the kernels for even n, served by one source: the
+radial polynomial P_z(k) = F_k(z) Gamma(k+n/2+rho)/Gamma(k+n/2), of degree
+rho in k. It gives the H-function remainder of the spectral coefficient, its
+inverse Laplace weight w(v) over the roots of P_{r^2}, the integral
+representation of the Poisson kernel and the zero counts that probe the
+zero-freeness of F_k in a complex-k half-plane. The Green functions (via the
+Kelvin point y* = r^2 y/|y|^2) are for n in {4, 6}; the large-k expansion of
+F_k is probed directly."""
 
 import cmath
 import functools
@@ -101,115 +101,82 @@ def _integrate_decaying(f, beta, ctl):
         err = np.concatenate([err[keep], new_err])
 
 
-def _cleared_polynomial(dim, z, k):
-    """F_k(z) with its k-denominators cleared: f_z(k) Gamma(k+n/2+rho) =
-    sum_i (k)_i (-rho)_i z^i/i! (k+n/2+i)_(rho-i), a polynomial in k of
-    degree rho whose roots are exactly the meaningful zeros of F_k(z)
-    (the reciprocal-gamma zeros of f_z drop out). Even n only."""
-    rho = int(dim.rho)
-    half_n = dim.n / 2
-    k = np.asarray(k, dtype=complex)
-    total = np.zeros_like(k)
+@functools.cache
+def _radial_terms(n):
+    """Integer coefficients of P_z(k) = f_z(k) Gamma(k+n/2+rho) = sum_i (k)_i
+    (-rho)_i z^i/i! (k+n/2+i)_(rho-i), even n: row m holds those of z^0..z^rho
+    in the coefficient of k^(rho-m). Its roots are exactly the zeros of F_k(z)
+    in k (the reciprocal-gamma zeros of f_z drop out)."""
+    rho, half = n // 2 - 1, n // 2
+    terms = []
     for i in range(rho + 1):
-        coef = math.prod((-rho + j) / (j + 1) for j in range(i))
-        term = math.prod((k + j for j in range(i)), start=np.ones_like(k)) * (coef * z**i)
-        for j in range(i, rho):
-            term = term * (k + half_n + j)
-        total = total + term
-    return total
+        poly = [(-1) ** i * math.comb(rho, i)]  # highest power of k first
+        for a in (*range(i), *range(half + i, half + rho)):  # times (k + a)
+            poly = [hi + a * lo for hi, lo in zip(poly + [0], [0] + poly)]
+        terms.append(poly)
+    return tuple(zip(*terms))
 
 
-def f_entire(dim, z, k):
-    """f_z(k) = F_k(z)/Gamma(k+n/2) as an entire function of complex k:
-
-        sum_i (k)_i (-rho)_i z^i / (i! Gamma(k + n/2 + i)),
-
-    each reciprocal gamma factor is entire, so no pole is ever divided by.
-    For even n the sum terminates at i = rho and equals
-    _cleared_polynomial(k) / Gamma(k + n/2 + rho), the finite sum the zero
-    counter uses; for odd n the prefactor of each term is carried in log
-    space (the pochhammer and factorial factors overflow separately near
-    i ~ 170 even though the terms themselves keep shrinking) and the
-    series is summed to roundoff.
-    """
-    from scipy.special import loggamma, rgamma  # slow to import, so only here
-    if not 0 <= z < 1:
-        raise ValueError("needs z in [0, 1)")
-    rho = dim.rho
-    half_n = dim.n / 2
-    if dim.is_even:
-        total = complex(rgamma(k + half_n + rho) * _cleared_polynomial(dim, z, k))
-    else:
-        kc = complex(k)
-        total = complex(rgamma(kc + half_n))
-        # compare terms against the largest seen, not against the sum: the
-        # sum can be arbitrarily small (near a zero in k, or at large k
-        # where every term carries a tiny reciprocal gamma)
-        peak = abs(total)
-        log_pref = 0j
-        i = 0
-        while z > 0:
-            if kc + i == 0:
-                break
-            log_pref += (
-                cmath.log(kc + i)
-                + cmath.log(complex(i - rho))
-                + math.log(z)
-                - math.log(i + 1)
-            )
-            i += 1
-            if i > 10000:
-                raise RuntimeError("f_z series did not converge")
-            w = kc + half_n + i
-            if w.imag == 0 and w.real <= 0 and w.real.is_integer():
-                continue
-            term = cmath.exp(log_pref - loggamma(w))
-            total += term
-            peak = max(peak, abs(term))
-            if i > 3 and abs(term) < 1e-17 * peak:
-                break
-    if isinstance(k, complex):
-        return total
-    return total.real
+def _radial_polynomial(dim, r2, x2=0.0):
+    """(exact, P, D): the coefficients of P_{r^2}, highest power of k first,
+    as integers over one power of two and as the nearest floats, and the
+    nearest floats to those of the polynomial (P_{|x|^2} - P_{r^2})/(|x|^2 - r^2)."""
+    if not dim.is_even:
+        raise ValueError("the radial polynomial exists for even n only")
+    rho = int(dim.rho)
+    (xn, xd), (rn, rd) = x2.as_integer_ratio(), r2.as_integer_ratio()
+    den = max(xd, rd)  # both powers of two
+    X, R = xn * (den // xd), rn * (den // rd)
+    rows = _radial_terms(dim.n)
+    # den^rho r^(2i) and den^(rho-1) (x^(2i) - r^(2i))/(x^2 - r^2)
+    zs = [R**i * den ** (rho - i) for i in range(rho + 1)]
+    hs = [sum(X**j * R ** (i - 1 - j) for j in range(i)) * den ** (rho - i)
+          for i in range(rho + 1)]
+    exact = [sum(t * z for t, z in zip(row, zs)) for row in rows]
+    P = [c / den**rho for c in exact]
+    D = [sum(t * h for t, h in zip(row, hs)) / den ** (rho - 1) for row in rows]
+    return exact, P, D
 
 
 def H_function(dim, x2, r2, k):
-    """H_{|x|^2, r^2}(k): the O(1/k) remainder defined by
+    """H_{|x|^2, r^2}(k) for even n: the O(1/k) remainder defined by
 
         (k+rho)/rho f_{x2}(k)/f_{r2}(k)
           = ((1-x2)/(1-r2))^rho ((k+rho)/rho - (n/2)(r2-x2)/((1-r2)(1-x2)))
             + (r2-x2)/(1-r2)^(n-2) H(k),
 
-    solved for H. For n=4 this collapses to
+    solved for H, with f_{x2}/f_{r2} = P_{x2}/P_{r2}. It raises where
+    |P_{r2}(k)| is below 1e-8 of its terms' sizes, whose rounding would then
+    reach 1e-8 of its value. For n=4 it collapses to
     [2(1+r2)/(1-r2)] / (k + 2/(1-r2)), independent of x2.
     """
     if not 0 <= x2 < r2 < 1:
         raise ValueError("needs 0 <= x2 < r2 < 1")
-    rho = dim.rho
-    n = dim.n
-    fr = f_entire(dim, r2, k)
-    if abs(fr) < 1e-15:
+    rho, n = dim.rho, dim.n
+    _, P, D = _radial_polynomial(dim, r2, x2)
+    pr = np.polyval(P, k)
+    if not abs(pr) > 1e-8 * np.polyval(np.abs(P), abs(k)):
         raise ValueError("k is at (or too near) a zero of f_{r^2}")
-    lhs = (k + rho) / rho * f_entire(dim, x2, k) / fr
+    lhs = (k + rho) / rho * (1 + (x2 - r2) * np.polyval(D, k) / pr)
     leading = ((1 - x2) / (1 - r2)) ** rho * (
         (k + rho) / rho - (n / 2) * (r2 - x2) / ((1 - r2) * (1 - x2))
     )
-    return (lhs - leading) * (1 - r2) ** (n - 2) / (r2 - x2)
+    return float((lhs - leading) * (1 - r2) ** (n - 2) / (r2 - x2))
 
 
 @dataclass(frozen=True)
 class LaplaceWeight:
-    """Inverse Laplace transform w(v) of H(k), one formula for every n and r:
+    """Inverse Laplace transform of (amp1 (k+b) + amp2)/((k+b)^2 - c2), one group
+    of poles -b +- c of H(k) and the whole weight w(v) for n in {4, 6}:
 
         w(v) = exp(-b v) (amp1 cosh(c v) + amp2 sinh(c v)/c),  c = sqrt(c2),
 
-    with c2 real and of either sign: imaginary c gives the cos/sin shape,
-    c = 0 the limit amp1 + amp2 v, and n=4 is c2 = amp2 = 0. The call
-    evaluates Re[exp((c-b) v) (amp1 (1 + m/2) - amp2 m/(2c))] with
-    m = expm1(-2cv), so nothing overflows at large v and a small c does
-    not cancel. b exceeds Re c, so w always decays. Calls take a float or
-    an array of v (broadcast against array amplitudes).
-    """
+    with c2 real and of either sign: imaginary c gives the cos/sin shape, c = 0
+    the limit amp1 + amp2 v, and a lone real pole (n=4) is c2 = amp2 = 0. The
+    call evaluates Re[exp((c-b) v) (amp1 (1 + m/2) - amp2 m/(2c))] with m =
+    expm1(-2cv), so nothing overflows at large v and a small c does not cancel.
+    b exceeds Re c, so w always decays. Calls take a float or an array of v
+    (broadcast against array amplitudes)."""
 
     b: float
     c2: float
@@ -246,31 +213,66 @@ class LaplaceWeight:
         return "cosh-sinh" if self.c2 > 0 else "oscillatory"
 
 
+class WeightSum(tuple):
+    """w(v) as the sum of a tuple of LaplaceWeight groups (n >= 8), decaying
+    at the slowest group's rate; the regime joins the groups' with '+'."""
+
+    def __call__(self, v):
+        return sum(g(v) for g in self)
+
+    decay_rate = property(lambda self: min(g.decay_rate for g in self))
+    regime = property(lambda self: "+".join(g.regime for g in self))
+
+
+def _mod_quadratic(poly, b, e):
+    """(u1, u0) with poly(k) = u1 k + u0 modulo k^2 + 2bk + e, poly with its
+    highest power first (Horner's rule, reducing k^2 at each step)."""
+    u1 = u0 = 0.0
+    for coef in poly:
+        u1, u0 = u0 - 2 * b * u1, coef - e * u1
+    return u1, u0
+
+
 def laplace_weight(dim, x2, r2):
-    """Build w_{|x|^2, r^2} for n in {4, 6}.
-
-    n=4: b = 2/(1-r^2), c2 = 0, amp1 = 2(1+r^2)/(1-r^2), amp2 = 0. n=6:
-    b = (7-r^2)/(2(1-r^2)) and c2 = (r^4-14r^2+1)/(2(1-r^2))^2, which
-    changes sign as r^2 crosses 7-4 sqrt(3); amplitudes
-
-        amp1 = 3 (1 - r^2 x^2 + 3(r^2 - x^2))
-        amp2 = (3/2) (1 + x^2 r^2 + 5(x^2 + r^2))
-
-    fixed by the residues of H at its two poles -b +- c. Laplace-transforming
-    back reproduces H(k) (a tested identity).
+    """w_{|x|^2, r^2}(v) = sum_j R_j exp(p_j v) for even n, p_j the roots of
+    P_{r2} and R_j = (p_j+rho)/rho P_{x2}(p_j)/P_{r2}'(p_j) (1-r^2)^(n-2)/(r^2-x^2)
+    the residues of H (transforming back gives H, a tested identity). The
+    roots form conjugate pairs, real pairs of neighbours and at most one lone
+    real pole, one LaplaceWeight each: n=4 returns its lone pole, n=6 its
+    pair, larger n a WeightSum. A pair -b +- c takes c2 = -P_{r2}(-b)/(a_rho
+    prod_others (-b - p)) with P_{r2}(-b) exact (its roundoff reaches w through
+    v^2 c2 near a double root) and its amplitudes from the residue numerator
+    modulo (k+b)^2 - c2, so nothing is divided by c.
     """
-    if dim.n not in (4, 6):
-        raise ValueError("weights are only available for n in {4, 6}")
     if not 0 <= x2 < r2 < 1:
         raise ValueError("needs 0 <= x2 < r2 < 1")
-    if dim.n == 4:
-        return LaplaceWeight(2 / (1 - r2), 0.0, 2 * (1 + r2) / (1 - r2), 0.0)
-    return LaplaceWeight(
-        (7 - r2) / (2 * (1 - r2)),
-        (r2 * r2 - 14 * r2 + 1) / (2 * (1 - r2)) ** 2,
-        3 * (1 - r2 * x2 + 3 * (r2 - x2)),
-        1.5 * (1 + x2 * r2 + 5 * (x2 + r2)),
-    )
+    rho = int(dim.rho)
+    exact, P, D = _radial_polynomial(dim, r2, x2)
+    # the residue numerator, with P_{x2} = (x^2 - r^2) D at a root of P_{r2}
+    numer = np.convolve([1.0, rho], D) * (-(1 - r2) ** (2 * rho) / rho)
+    roots = np.roots(P).tolist()
+    real = sorted(p.real for p in roots if p.imag == 0)
+    # an odd count leaves alone the end root farther from its neighbour
+    end = 0 if len(real) < 3 or real[1] - real[0] > real[-1] - real[-2] else -1
+    lone = [real.pop(end)] if len(real) % 2 else []
+    pairs = [[p, p.conjugate()] for p in roots if p.imag > 0]
+    pairs += [real[j:j + 2] for j in range(0, len(real), 2)]
+    groups = [LaplaceWeight(-p, 0.0, np.polyval(numer, p) / np.polyval(np.polyder(P), p), 0.0)
+              for p in lone]
+    for pair in pairs:
+        others = [p for g in pairs if g is not pair for p in g] + lone
+        b = (P[1] / P[0] + sum(others).real) / 2
+        bn, bd = (-b).as_integer_ratio()
+        vertex = sum(c * bn ** (rho - m) * bd**m for m, c in enumerate(exact))
+        c2 = -vertex / (exact[0] * bd**rho) / math.prod(-b - p for p in others).real
+        e = b * b - c2
+        # numer/Q modulo the pair's quadratic, where Q = P_{r2}/((k+b)^2 - c2)
+        # and (g1 k + g0)^-1 = (g0 - 2b g1 - g1 k)/det
+        g1, g0 = _mod_quadratic(P[0] * np.atleast_1d(np.poly(others)).real, b, e)
+        det = g0 * (g0 - 2 * b * g1) + e * g1 * g1
+        a1, a0 = _mod_quadratic(np.convolve(numer, [-g1, g0 - 2 * b * g1]), b, e)
+        groups.append(LaplaceWeight(b, c2, a1 / det, (a0 - b * a1) / det))
+    return groups[0] if len(groups) == 1 else WeightSum(groups)
 
 
 def poisson_integral(D, x, y, qctl=QuadratureControl()):
@@ -279,18 +281,16 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
         Gamma(n/2)/(2 pi^(n/2) r (1-r^2)^(n-2)) (r^2-|x|^2)/|x-y|^n
             * int_0^inf w(v) L(x,y,v) / |x e^{-v} - y|^(n-2) dv,
 
-    for n in {4, 6}, with A = |x e^{-v/2} - y e^{v/2}|^2, h = A - |x-y|^2
-    = |x|^2 (e^{-v} - 1) + |y|^2 (e^v - 1) and L = A^rho rho h -
-    |x-y|^2 (A^rho - |x-y|^(2 rho)), which reduces to h^2 for n=4 and to
-    h^2 (2A + |x-y|^2) for n=6. The weight decays fast enough to leave a
-    positive net decay exponent, checked before integrating. y is a Point
-    (returns a float) or an (m, n) array of boundary points (returns shape
-    (m,), one quadrature for all of them).
+    for even n, with A = |x e^{-v/2} - y e^{v/2}|^2, h = A - |x-y|^2 =
+    |x|^2 (e^{-v} - 1) + |y|^2 (e^v - 1) and L = A^rho rho h - |x-y|^2 (A^rho
+    - |x-y|^(2 rho)) = h^2 sum_(m<rho) (m+1) A^m |x-y|^(2(rho-1-m)). The
+    weight decays fast enough to leave a positive net decay exponent, checked
+    before integrating. y is a Point (returns a float) or an (m, n) array of
+    boundary points (returns shape (m,), one quadrature for all of them).
     """
     dim = D.dim
     n = dim.n
-    if n not in (4, 6):
-        raise ValueError("integral representation only for n in {4, 6}")
+    rho = int(dim.rho)
     r = D.r
     ax = x.norm
     if not ax < r:
@@ -303,19 +303,22 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
     xy = ys @ x.coords
     d2 = x2 + r2 - 2 * xy
     w = laplace_weight(dim, x2, r2)
-    if not w.decay_rate > dim.rho + 1:
+    if not w.decay_rate > rho + 1:
         raise RuntimeError("integrand does not decay; weight corrupt")
     # with e = e^{-v}, g = e h = (r^2 - |x|^2 e)(1 - e) and a = e A =
-    # |x e^{-v} - y|^2, L = e^{(rho+1)v} g^2 (1, or 2a + |x-y|^2 e for n=6);
-    # that growth goes into the weight's rate, so nothing overflows
-    w_net = replace(w, b=w.b - dim.rho - 1)
+    # |x e^{-v} - y|^2, L = e^{(rho+1)v} g^2 sum_(m<rho) (m+1) a^m (e d^2)^(rho-1-m);
+    # that growth goes into the weight's rates, so nothing overflows
+    groups = w if isinstance(w, WeightSum) else [w]
+    w_net = WeightSum(replace(g, b=g.b - rho - 1) for g in groups)
 
     def integrand(v):
         e = np.exp(-v)[:, None]
         g = (r2 - x2 * e) * -np.expm1(-v)[:, None]
         a = x2 * e * e - 2 * e * xy + r2
-        L = g * g if n == 4 else g * g * (2 * a + d2 * e)
-        return w_net(v)[:, None] * L / a ** (n // 2 - 1)
+        s = 1.0  # the sum in L, by Horner's rule in e d^2
+        for m in range(1, rho):
+            s = s * (e * d2) + (m + 1) * a**m
+        return w_net(v)[:, None] * (g * g * s) / a**rho
 
     pref = (
         math.gamma(n / 2)
@@ -460,36 +463,29 @@ def conjecture2_zero_count(dim, z, rect):
     principle (phase winding along the boundary, node count doubled from
     _WINDING_NODES until the winding number stabilizes near an integer).
 
-    For even n the Gamma-cleared polynomial form is used, so the trivial
-    zeros that 1/Gamma factors contribute to f_z are not counted; they are
-    not zeros of F_k(z). The zero-freeness hypothesis concerns
-    Re k >= -n/2 - eps (probing convention eps = 0.1).
+    Even n only: the winding is that of the radial polynomial P_z, so the
+    zeros that 1/Gamma factors give f_z, which are not zeros of F_k(z), are
+    not counted. The zero-freeness hypothesis concerns Re k >= -n/2 - eps
+    (probing convention eps = 0.1).
     """
     if not 0 < z < 1:
         raise ValueError("needs z in (0, 1)")
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ValueError("degenerate rectangle")
+    P = _radial_polynomial(dim, z)[1]
+    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi),
+               complex(re_lo, im_hi), complex(re_lo, im_lo)]
 
     def boundary(m):
-        per_edge = max(m // 4, 8)
-        t = np.arange(per_edge) / per_edge
-        bottom = re_lo + (re_hi - re_lo) * t + 1j * im_lo
-        right = re_hi + 1j * (im_lo + (im_hi - im_lo) * t)
-        top = re_hi - (re_hi - re_lo) * t + 1j * im_hi
-        left = re_lo + 1j * (im_hi - (im_hi - im_lo) * t)
-        loop = np.concatenate([bottom, right, top, left])
+        t = np.arange(max(m // 4, 8)) / max(m // 4, 8)
+        loop = np.concatenate([a + (b - a) * t for a, b in zip(corners, corners[1:])])
         return np.append(loop, loop[0])
-
-    def values(ks):
-        if dim.is_even:
-            return _cleared_polynomial(dim, z, ks)
-        return np.array([f_entire(dim, z, complex(kk)) for kk in ks])
 
     m = _WINDING_NODES
     prev = None
     while m <= 2**20:
-        vals = values(boundary(m))
+        vals = np.polyval(P, boundary(m))
         mags = np.abs(vals)
         if mags.min() < 1e-12 * mags.max():
             raise RuntimeError(

@@ -104,11 +104,11 @@ def test_accept_02_poisson_normalization():
 
 def test_accept_03_series_vs_closed_form():
     # spectral series and integral representations agree to 1e-6 absolute:
-    # Poisson on a 16 x 8 grid (n=4, and n=6 in all three weight regimes,
-    # the critical radius hit exactly), Green on 50 random pairs each
+    # Poisson on a 16 x 8 grid (n=4, n=6 in all three weight regimes, the
+    # critical radius hit exactly, and n=8), Green on 50 random pairs each
     t0 = time.perf_counter()
     worst_p = 0.0
-    for n, r in ((4, 0.6), (6, 0.2), (6, math.sqrt(R2_CRIT)), (6, 0.6)):
+    for n, r in ((4, 0.6), (6, 0.2), (6, math.sqrt(R2_CRIT)), (6, 0.6), (8, 0.3), (8, 0.6)):
         D = BallDomain(Dimension(n), r)
         for i in range(16):
             x = axis_point(n, r * (i + 1) / 17)

@@ -402,8 +402,8 @@ def test_green_eval_at_equal_radii(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["conjecture-scan", "--n", "3"],
     ["identity-check", "--suite", "laplace", "--n", "5"],
-    ["identity-check", "--suite", "laplace", "--n", "7..8"],
-    ["conjecture-scan", "--n", "8", "--which", "2"],
+    ["identity-check", "--suite", "laplace", "--n", "7"],
+    ["conjecture-scan", "--n", "7", "--which", "2"],
 ])
 def test_empty_selections_exit_2(tmp_path, capsys, argv):
     # no row of the suite or probe applies to these n; an empty table
@@ -423,7 +423,7 @@ def test_conjecture_scan_counts_the_known_zeros(tmp_path, r):
     # of them; the radii span both shapes of the n = 6 pair and its double
     # zero at the critical radius
     out = tmp_path / "c.csv"
-    argv = ["conjecture-scan", "--which", "2", "--n", "4..6", "--r", repr(r),
+    argv = ["conjecture-scan", "--which", "2", "--n", "4..8", "--r", repr(r),
             "--x", "0.1", "--output", str(out)]
     assert run(parse_config(argv)) == 0
     header, _, rows = read_table(out)
@@ -431,15 +431,16 @@ def test_conjecture_scan_counts_the_known_zeros(tmp_path, r):
     assert [row[:3] for row in rows] == [
         ["conj2", "4", "1"], ["conj2", "4", "0"],
         ["conj2", "6", "2"], ["conj2", "6", "0"],
+        ["conj2", "8", "3"], ["conj2", "8", "0"],
     ]
     assert all(row[3] == row[2] and row[4] == "true" for row in rows)
 
 
 @pytest.mark.parametrize("argv, skipped, ran", [
-    (["conjecture-scan", "--which", "2", "--n", "4..8"], "conj2:5,conj2:7,conj2:8",
-     {"4", "6"}),
+    (["conjecture-scan", "--which", "2", "--n", "4..8"], "conj2:5,conj2:7",
+     {"4", "6", "8"}),
     (["identity-check", "--suite", "laplace", "--n", "3..8"],
-     "laplace:3,laplace:5,laplace:7,laplace:8", {"4", "6"}),
+     "laplace:3,laplace:5,laplace:7", {"4", "6", "8"}),
     (["identity-check", "--suite", "normalization", "--n", "3..8"], None,
      {"3", "4", "5", "6", "7", "8"}),
 ])
@@ -453,3 +454,4 @@ def test_skipped_dimensions_are_named(tmp_path, argv, skipped, ran):
     assert [h for h in header if h.startswith("# skipped=")] == (
         [f"# skipped={skipped}"] if skipped else [])
     assert {row[1 if argv[0] == "conjecture-scan" else 0] for row in rows} == ran
+    assert {row[-1] for row in rows} == {"true"}

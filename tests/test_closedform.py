@@ -15,7 +15,6 @@ from hypball.closedform import (
     QuadratureControl,
     conjecture1_residual,
     conjecture2_zero_count,
-    f_entire,
     green_closed_n4,
     green_closed_n6,
     laplace_weight,
@@ -45,21 +44,33 @@ def test_quadrature_control_validation():
             QuadratureControl(abs_tol=tol)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
-def test_f_entire_matches_F_k_at_integers(n):
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_radial_polynomial_matches_F_k(n):
+    # P_z(k) = F_k(z) Gamma(k+n/2+rho)/Gamma(k+n/2), from its coefficients
     dim = Dimension(n)
-    for k in (0, 1, 3, 10):
-        for z in (0.0, 0.3, 0.8):
-            expect = F_k(dim, k, z) / math.gamma(k + n / 2)
-            assert f_entire(dim, z, k) == pytest.approx(expect, rel=1e-12)
+    rho = dim.rho
+    for z in (0.0, 0.3, 0.8):
+        P = closedform._radial_polynomial(dim, z)[1]
+        for k in (0, 1, 3, 10):
+            expect = F_k(dim, k, z) * math.gamma(k + n / 2 + rho) / math.gamma(k + n / 2)
+            assert np.polyval(P, k) == pytest.approx(expect, rel=1e-12)
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # f_entire, the only user of scipy.special, imports it when first called
-    code = "import sys, hypball; print('scipy.special' in sys.modules)"
+def test_commands_import_no_scipy(tmp_path):
+    # SciPy is a test dependency only: the closed forms, the laplace suite
+    # and both conjecture probes run on NumPy alone
+    code = (
+        "import sys\n"
+        "from hypball.cli import parse_config, run\n"
+        "for argv in (['pk-closed', '--n', '6'],\n"
+        "             ['identity-check', '--suite', 'laplace', '--n', '4..8'],\n"
+        "             ['conjecture-scan', '--n', '4..8']):\n"
+        f"    assert run(parse_config(argv + ['--output', {str(tmp_path / 'out.csv')!r}])) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_import_leaves_numpy_polynomial_unloaded():
@@ -71,18 +82,6 @@ def test_import_leaves_numpy_polynomial_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_f_entire_complex_symmetry():
-    dim = Dimension(5)
-    k = 1.3 + 0.7j
-    val = f_entire(dim, 0.45, k)
-    conj = f_entire(dim, 0.45, k.conjugate())
-    assert conj == pytest.approx(val.conjugate(), rel=1e-12)
-    # real argument comes back as a plain float
-    assert isinstance(f_entire(dim, 0.45, 1.5), float)
-    with pytest.raises(ValueError):
-        f_entire(dim, 1.0, 2)
-
-
 def test_H_n4_closed_form_and_x_independence():
     dim = Dimension(4)
     r2 = 0.36
@@ -92,6 +91,21 @@ def test_H_n4_closed_form_and_x_independence():
         for v in vals:
             assert v == pytest.approx(closed(k), abs=1e-12 * abs(closed(k)) + 1e-12)
         assert max(vals) - min(vals) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_H_matches_mpmath_at_large_k(n):
+    # F_k decays like 1/Gamma(k), but H is a ratio of polynomials in k:
+    # no absolute threshold on F may read large k as a zero
+    x2, r2 = 0.09, 0.36
+    for k in (15, 17, 20, 50):
+        with mp.workdps(40):
+            X, R, rho = mp.mpf(x2), mp.mpf(r2), mp.mpf(n - 2) / 2
+            ratio = mp_reference.f_value(n, k, X) / mp_reference.f_value(n, k, R)
+            leading = ((1 - X) / (1 - R)) ** rho * (
+                (k + rho) / rho - mp.mpf(n) / 2 * (R - X) / ((1 - R) * (1 - X)))
+            ref = float(((k + rho) / rho * ratio - leading) * (1 - R) ** (n - 2) / (R - X))
+        assert H_function(Dimension(n), x2, r2, k) == pytest.approx(ref, rel=1e-10)
 
 
 def test_H_rejects_zero_of_radial_solution():
@@ -107,7 +121,7 @@ def test_H_validation():
 
 @pytest.mark.parametrize(
     "n, r2",
-    [(4, 0.36), (6, 0.04), (6, R2_CRIT), (6, 0.36)],
+    [(4, 0.36), (6, 0.04), (6, R2_CRIT), (6, 0.36), (8, 0.04), (8, 0.36), (8, 0.81)],
 )
 def test_weight_transforms_back_to_H(n, r2):
     # int_0^inf w(v) e^{-k v} dv = H(k), all four regimes
@@ -123,7 +137,8 @@ def test_weight_transforms_back_to_H(n, r2):
 
 @pytest.mark.parametrize(
     "n, r2",
-    [(4, 0.36), (4, 0.81), (6, 0.04), (6, R2_CRIT), (6, 0.36)],
+    [(4, 0.36), (4, 0.81), (6, 0.04), (6, R2_CRIT), (6, 0.36), (8, 0.04), (8, 0.36),
+     (8, 0.81)],
 )
 def test_weight_moments(n, r2):
     # first moment = H(-rho) with value (n/2)(1-x2)^(rho-1)(1-r2)^(rho-1);
@@ -198,7 +213,7 @@ def test_weight_validation():
         laplace_weight(Dimension(4), 0.4, 0.36)
 
 
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [4, 6, 8])
 def test_poisson_integral_matches_series(n):
     D = ball(n)
     for ax, theta in ((0.15, 0.5), (0.3, 1.9), (0.5, 2.9)):
@@ -496,6 +511,7 @@ def test_conjecture1_validation():
         (6, 0.04, (-3.2, -0.1, -1.0, 1.0), 0),
         (6, R2_CRIT, (-4.5, -3.0, -1.0, 1.0), 2),
         (6, R2_CRIT, (-3.0, -0.1, -1.0, 1.0), 0),
+        (8, 0.36, (-8.5, -7.5, -1.0, 1.0), 1),
     ],
 )
 def test_conjecture2_zero_counts(n, z, rect, count):
@@ -511,5 +527,7 @@ def test_conjecture2_zero_on_contour():
 def test_conjecture2_validation():
     with pytest.raises(ValueError):
         conjecture2_zero_count(Dimension(4), 0.5, (-1.0, -2.0, -1.0, 1.0))
+    with pytest.raises(ValueError, match="even n"):
+        conjecture2_zero_count(Dimension(5), 0.5, (-2.0, -1.0, -1.0, 1.0))
     with pytest.raises(ValueError):
         conjecture2_zero_count(Dimension(4), 1.5, (-2.0, -1.0, -1.0, 1.0))
