@@ -6,8 +6,10 @@ key=value config file, or both (flags win). Output is a single CSV or
 JSON table per run, prefixed with a header block carrying the tool
 version and the full resolved config (including the RNG seed), so any
 result file can be reproduced byte-for-byte by re-running its header.
-Reals are written with 17 significant digits and nothing in the output
-depends on the clock."""
+CSV cells are reals at 17 significant digits (%.17g), true/false, or str
+of the cell; JSON is the text of json.dumps(doc, indent=2), so reals are
+Python's shortest round-trip repr. Nothing in the output depends on the
+clock."""
 
 import argparse
 import functools
@@ -405,23 +407,45 @@ def _config_echo(cfg):
 def _write_csv(path, cfg, columns, rows, meta):
     lines = [f"# hypball {__version__}", f"# {_config_echo(cfg)}"]
     lines += [f"# {key}={_fmt(meta[key])}" for key in sorted(meta)]
-    lines += [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
+    lines += [",".join(columns)]
+    # one %-template for every row: %.17g for a float, which is
+    # format(v, ".17g"), and the _fmt text of any other cell
+    template = "".join(
+        ",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) + "\n"
+        for row in rows)
+    cells = tuple(v if isinstance(v, float) else _fmt(v) for row in rows for v in row)
     with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("\n".join(lines) + "\n" + template % cells)
+
+
+def _json_rows(docs):
+    """The "rows" value of json.dumps(doc, indent=2) for docs, a list of dicts
+    with the same str keys. One C-encoder call writes the keys and values as
+    a list joined by "\n", which no JSON token holds (strings escape it), and
+    one %-template of the indent=2 layout takes the value tokens."""
+    if not docs:
+        return "[]"
+    text = json.dumps([*docs[0], *(v for d in docs for v in d.values())],
+                      separators=("\n", ": "))[1:-1]
+    tokens = text.split("\n") if text else []
+    keys = [k.replace("%", "%%") for k in tokens[: len(docs[0])]]
+    layout = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }" if keys else "    {}"
+    return "[\n" + ",\n".join([layout] * len(docs)) % tuple(tokens[len(keys) :]) + "\n  ]"
 
 
 def _write_json(path, cfg, columns, rows, meta):
-    doc = {
-        "meta": {
-            "tool": "hypball",
-            "version": __version__,
-            "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
-            **meta,
-        },
-        "rows": [dict(zip(columns, row)) for row in rows],
+    meta = {
+        "tool": "hypball",
+        "version": __version__,
+        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
+        **meta,
     }
+    # json.dumps(indent=2) of {"meta": meta, "rows": rows} with the rows
+    # from the C encoder: the pure-Python indent encoder is slow per cell
+    head = json.dumps({"meta": meta}, indent=2)[: -len("\n}")]
+    rows = _json_rows([dict(zip(columns, row)) for row in rows])
     with open(path, "w", newline="\n") as f:
-        f.write(json.dumps(doc, indent=2) + "\n")
+        f.write(f'{head},\n  "rows": {rows}\n}}\n')
 
 
 # flag and config-file spellings that are not the field name

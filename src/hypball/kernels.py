@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Point, as_rows, cos_angle, row_norms, sphere_area
-from .specfun import F_k, G_k, _as_order, _block_end, _g0_pair, gegenbauer_sequence
+from .specfun import F_k, G_k, _as_order, _block_end, _g0_values, gegenbauer_sequence
 
 
 class SeriesTruncationError(RuntimeError):
@@ -243,7 +243,8 @@ def green_function(D, x, y, ctl=SeriesControl()):
     tail bound not met within k_max terms raises SeriesTruncationError.
     x = 0 (or y = 0) reduces to the k = 0 coefficient by rotational symmetry.
     y is a Point (returns a float) or an (m, n) array of points (returns
-    shape (m,)), with one image table per distinct |y|.
+    shape (m,)), with one image table per distinct |y| and one _g0_values
+    call that evaluates G_0 for all the rows, each with a Point call's bits.
     """
     ys, single = as_rows(D.dim.n, x, y)
     diffs = x.coords - ys
@@ -257,6 +258,7 @@ def green_function(D, x, y, ctl=SeriesControl()):
     rows_at, values = {}, [None] * len(ays)
     for i, ay in enumerate(ays):
         rows_at.setdefault(ay, []).append(i)
+    rows, zs, images = [], [], []  # of the rows off the origin
     for ay, idx in rows_at.items():
         lo, hi = min(ax, ay), max(ax, ay)
         if lo == 0.0:
@@ -266,10 +268,13 @@ def green_function(D, x, y, ctl=SeriesControl()):
             continue
         b = _image_table(D, lo, hi, ctl)
         image = _gegenbauer_sums(rho, b, cos_angle(x, y if single else ys[idx]))
-        for i, s in zip(idx, np.atleast_1d(image).tolist()):
-            # 1 - 2 x.y + |x|^2 |y|^2 = (1 - |x|^2)(1 - |y|^2) + |x - y|^2
-            z = d2s[i] / ((1 - ax**2) * (1 - ay**2) + d2s[i])
-            values[i] = pref * _g0_pair(dim, z)[0] / z**rho - s
+        # 1 - 2 x.y + |x|^2 |y|^2 = (1 - |x|^2)(1 - |y|^2) + |x - y|^2
+        q = (1 - ax**2) * (1 - ay**2)
+        zs += [d2s[i] / (q + d2s[i]) for i in idx]
+        images += [image] if single else image.tolist()
+        rows += idx
+    for i, z, s, g0 in zip(rows, zs, images, _g0_values(dim, zs)):
+        values[i] = pref * g0 / z**rho - s
     return values[0] if single else np.array(values)
 
 

@@ -123,36 +123,79 @@ _G0_SPLIT = 0.1
 
 
 @functools.cache
-def _g0_terms(dim):
-    """The c_i and the amplitude a of _g0_pair's small-z form."""
-    n, rho = dim.n, dim.rho
+def _g0_terms(n):
+    """The c_i and the amplitude a of G_0's small-z form in dimension n."""
+    rho = (n - 2) / 2
     c = {i: rho * math.comb(n - 2, i) * (-1) ** (i + 1) / (i - rho)
          for i in range(n - 1) if i != rho}
-    return c, (rho * math.comb(n - 2, int(rho)) * (-1) ** (n // 2) if dim.is_even
+    return c, (rho * math.comb(n - 2, int(rho)) * (-1) ** (n // 2) if n % 2 == 0
                else -sum(c.values()))
 
 
-def _g0_pair(dim, z):
-    """(G_0(z), G_0'(z)). Below _G0_SPLIT, the finite sum over i != rho of
-    c_i z^i, c_i = rho binom(n-2, i) (-1)^(i+1) / (i - rho), plus a z^rho
-    term that makes G_0(1) = 0: a z^rho log z with a = rho binom(n-2, rho)
-    (-1)^(n/2) for even n, a z^rho with a = -sum c_i for odd n. Term by term
-    this gives rho G_0 - z G_0' = rho (1-z)^(n-2). The sum cancels as
-    z -> 1, so above the split G_0 = rho/(n-1) w^(n-1) F(1, n/2; n; w),
-    w = 1 - z, whose terms are positive and shrink by a factor below w."""
+@functools.cache
+def _g0_ratio_parts(n):
+    """n/2 + i and n + i for every i below the most terms summed above the split."""
+    i = np.arange(int(math.log(1e-17 * _G0_SPLIT) / math.log(1 - _G0_SPLIT)) + 1)
+    return n / 2 + i, n + i
+
+
+def _g0_series_terms(n, zs):
+    """w = 1 - z, the number of terms summed, and the terms of F(1, n/2; n; w)
+    for each z >= _G0_SPLIT in the list zs. Row j of the (len(zs), max size)
+    array is the cumprod of 1 and the ratios (n/2 + i) w/(n + i); the tail
+    past its first sizes[j] terms is below w^size / (1 - w) < 1e-17."""
+    ws = [1 - z for z in zs]
+    sizes = [int(math.log(1e-17 * z) / math.log(w)) + 1 for z, w in zip(zs, ws)]
+    top, (num, den) = max(sizes), _g0_ratio_parts(n)
+    t = np.empty((len(zs), top))
+    t[:, 0] = 1.0
+    np.multiply.outer(ws, num[: top - 1], out=t[:, 1:])
+    np.divide(t[:, 1:], den[: top - 1], out=t[:, 1:])
+    return ws, sizes, np.multiply.accumulate(t, axis=1, out=t)
+
+
+def _g0_values(dim, zs):
+    """[G_0(z) for z in zs], zs a list of floats in (0, 1).
+
+    Below _G0_SPLIT, the finite sum over i != rho of c_i z^i, c_i = rho
+    binom(n-2, i) (-1)^(i+1) / (i - rho), plus a z^rho term that makes
+    G_0(1) = 0: a z^rho log z with a = rho binom(n-2, rho) (-1)^(n/2) for
+    even n, a z^rho with a = -sum c_i for odd n. Term by term this gives
+    rho G_0 - z G_0' = rho (1-z)^(n-2). The sum cancels as z -> 1, so above
+    the split G_0 = rho/(n-1) w^(n-1) F(1, n/2; n; w), w = 1 - z, whose
+    terms are positive and shrink by a factor below w.
+
+    The series terms of every z above the split come from one array, and
+    each row is summed on its own, as NumPy's pairwise summation order
+    depends on the length; the small-z sums take Python floats, which cost
+    less than NumPy calls for the few rows of a one-point call. So each z
+    gets the bits of a list of that z alone."""
     n, rho = dim.n, dim.rho
+    above, series = [z for z in zs if z >= _G0_SPLIT], []
+    # blocks of 1024 rows keep the term array below 3.3 MB
+    for block in range(0, len(above), 1024):
+        ws, sizes, t = _g0_series_terms(n, above[block : block + 1024])
+        series += [rho / (n - 1) * w ** (n - 1) * float(np.add.reduce(row[:size]))
+                   for row, w, size in zip(t, ws, sizes)]
+    series = iter(series)
+    coeffs, amp = _g0_terms(n)
+    log = math.log if dim.is_even else lambda z: 1.0
+    return [next(series) if z >= _G0_SPLIT else
+            sum(c * z**i for i, c in coeffs.items()) + amp * z**rho * log(z)
+            for z in zs]
+
+
+def _g0_pair(dim, z):
+    """(G_0(z), G_0'(z)): the value from _g0_values, the derivative of its
+    form on z's side of the split, term by term."""
+    n, rho = dim.n, dim.rho
+    (val,) = _g0_values(dim, [z])
     if z >= _G0_SPLIT:
-        w = 1 - z
-        # the tail past `size` terms is below w^size / (1 - w) < 1e-17
-        size = int(math.log(1e-17 * z) / math.log(w)) + 1
-        i = np.arange(size - 1)
-        t = np.cumprod(np.concatenate(([1.0], (n / 2 + i) * w / (n + i))))
-        h, wdh = float(t.sum()), float(t[1:] @ np.arange(1, size))
-        c = rho / (n - 1)
-        return c * w ** (n - 1) * h, -c * w ** (n - 2) * ((n - 1) * h + wdh)
-    coeffs, amp = _g0_terms(dim)
+        (w,), (size,), (t,) = _g0_series_terms(n, [z])
+        h, wdh = t[:size].sum(), t[1:size] @ np.arange(1, size)
+        return val, float(-rho / (n - 1) * w ** (n - 2) * ((n - 1) * h + wdh))
+    coeffs, amp = _g0_terms(n)
     lz, dlz = (math.log(z), 1 / z) if dim.is_even else (1.0, 0.0)
-    val = sum(c * z**i for i, c in coeffs.items()) + amp * z**rho * lz
     dval = sum(i * c * z ** (i - 1) for i, c in coeffs.items() if i > 0)
     dval += amp * (rho * z ** (rho - 1) * lz + z**rho * dlz)
     return val, dval
@@ -192,7 +235,7 @@ def G_k(dim, k, z):
     """Second radial solution, the one that vanishes at z = 1:
     F(-rho, 2-k-n; 2-k-n/2; z) - c z^(k+rho) F_k(z) with G_k(1) = 0 (c = 0
     for even n at k = 0 and odd n at k >= 1); neither the Wronskian identity
-    nor the Green coefficient's bracket depends on c. G_0 is _g0_pair; for
+    nor the Green coefficient's bracket depends on c. G_0 is _g0_values; for
     k >= 1 (DLMF 15.10 with Pfaff's transformation) and p_i = (n/2)_i/(n)_i,
 
         G_k(z) = (1-z)^(n-1) / p_(k-1) * sum_(i<k) binom(k-1, i) p_i (1-z)^i z^(k-1-i),
@@ -205,7 +248,7 @@ def G_k(dim, k, z):
         raise ValueError("G_k needs z in (0, 1)")
     p = _g_weights(dim.n, int(np.max(k, initial=0)))
     positive = (1 - z) ** (dim.n - 1) * _bernstein_means(p, z) / p
-    g = np.concatenate(([_g0_pair(dim, z)[0]], positive))
+    g = np.concatenate((_g0_values(dim, [z]), positive))
     return g[k] if np.ndim(k) else float(g[k])
 
 

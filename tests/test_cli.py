@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hypball
-from hypball.cli import (RunConfig, _build_parser, _write_csv, _write_json, main,
-                         parse_config, run)
+from hypball.cli import (RunConfig, _build_parser, _config_echo, _fmt, _write_csv,
+                         _write_json, main, parse_config, run)
 from hypball.geometry import BallDomain, unit_sphere_area
 from hypball.kernels import poisson_coefficient
 from hypball.specfun import Dimension
@@ -201,16 +202,24 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 # SHA-256 prefixes of the rows after the header (so the `output=` echo does
-# not count) of tables that the warm array path of the kernels writes.
-# A change to a dot product's summation order, or to any rounding step
-# between the tables and the text, moves them. Like the seeded Monte Carlo
-# digests they hold for one platform and NumPy build.
+# not count; a JSON file from its "rows" line on) of tables that the warm
+# array path of the kernels writes. A change to a dot product's summation
+# order, or to any rounding step between the tables and the text, moves them.
+# Like the seeded Monte Carlo digests they hold for one platform and NumPy
+# build.
 _ROW_DIGESTS = {
     ("pk-eval", "--n", "4", "--theta-grid", "256"): "a3d6b256639d071f",
     ("pk-eval", "--n", "5", "--theta-grid", "256"): "1cf68efc0caec1af",
     ("pk-eval", "--n", "6", "--theta-grid", "256"): "4e42abc300d082c0",
     ("green-eval", "--n", "4", "--theta-grid", "256"): "78eb66c166c0538c",
+    # odd n: G_0's a z^rho term without the log
+    ("green-eval", "--n", "5", "--theta-grid", "256"): "c8624e1a65315a80",
     ("green-eval", "--n", "6", "--theta-grid", "256"): "ab5cdf992807922e",
+    # every z below G_0's split between its two forms
+    ("green-eval", "--n", "6", "--r", "0.2", "--x", "0.1", "--theta-grid", "256"):
+        "97e3789b4b0abcc8",
+    ("pk-closed", "--n", "6", "--theta-grid", "256", "--format", "json"):
+        "50633485e63300b5",
     ("coeffs", "--kmax", "40"): "1c8d464955c35330",
     ("identity-check", "--suite", "normalization", "--n", "5"): "c0e38535bb4833a2",
 }
@@ -222,7 +231,10 @@ def test_table_rows_are_pinned(tmp_path, argv):
     out = tmp_path / "out.csv"
     assert run(parse_config(list(argv) + ["--output", str(out)])) == 0
     with open(out, "rb") as f:
-        data = b"".join(line for line in f if not line.startswith(b"#"))
+        lines = f.readlines()
+    if "json" in argv:
+        lines = lines[lines.index(b'  "rows": [\n'):]
+    data = b"".join(line for line in lines if not line.startswith(b"#"))
     assert hashlib.sha256(data).hexdigest()[:16] == _ROW_DIGESTS[argv]
 
 
@@ -304,6 +316,59 @@ k,flag,value
   ]
 }}
 """
+
+
+def _reference_csv(path, cfg, columns, rows, meta):
+    # the writer's text as one _fmt call per cell
+    lines = [f"# hypball {hypball.__version__}", f"# {_config_echo(cfg)}"]
+    lines += [f"# {key}={_fmt(meta[key])}" for key in sorted(meta)]
+    lines += [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
+    with open(path, "w", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def _reference_json(path, cfg, columns, rows, meta):
+    # the writer's text from the pure-Python indent=2 encoder
+    doc = {
+        "meta": {
+            "tool": "hypball",
+            "version": hypball.__version__,
+            "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
+            **meta,
+        },
+        "rows": [dict(zip(columns, row)) for row in rows],
+    }
+    with open(path, "w", newline="\n") as f:
+        f.write(json.dumps(doc, indent=2) + "\n")
+
+
+_TEXT = st.text(st.sampled_from('"\\%,:{}[]\n\t aé€😀'), max_size=5) | st.text(max_size=5)
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310]),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    _TEXT,
+)
+
+
+@given(
+    table=st.lists(_TEXT, max_size=4).flatmap(lambda columns: st.tuples(
+        st.just(columns),
+        st.lists(st.tuples(*[_CELLS] * len(columns)), max_size=6))),
+    meta=st.dictionaries(_TEXT, _CELLS, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_writers_match_per_cell_formatting(tmp_path_factory, table, meta):
+    columns, rows = table
+    cfg = RunConfig(command="coeffs", output="table.csv")
+    d = tmp_path_factory.mktemp("w")
+    for writer, reference in ((_write_csv, _reference_csv), (_write_json, _reference_json)):
+        writer(d / "new", cfg, columns, rows, meta)
+        reference(d / "ref", cfg, columns, rows, meta)
+        assert (d / "new").read_bytes() == (d / "ref").read_bytes()
 
 
 def test_mc_validate_report(tmp_path, capsys):

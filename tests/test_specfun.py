@@ -11,10 +11,14 @@ from reference_helpers import gegenbauer
 
 from hypball.geometry import unit_sphere_area
 from hypball.specfun import (
+    _G0_SPLIT,
     Dimension,
     F_k,
     G_k,
     _f_pair,
+    _g0_pair,
+    _g0_terms,
+    _g0_values,
     gegenbauer_at_one,
     gegenbauer_sequence,
     wronskian_residual,
@@ -101,6 +105,50 @@ def test_g0_against_mpmath_across_split(n):
         for z in (0.01, 0.0999, 0.1, 0.3, 0.99):
             ref = mp_reference.g_value(n, 0, z)
             assert abs((G_k(dim, 0, z) - ref) / ref) < 1e-13
+
+
+def _g0_one_at_a_time(dim, z):
+    # G_0 of a lone z, each z with its own 1-D cumprod and sum of exactly
+    # its own number of series terms
+    n, rho = dim.n, dim.rho
+    if z >= _G0_SPLIT:
+        w = 1 - z
+        size = int(math.log(1e-17 * z) / math.log(w)) + 1
+        i = np.arange(size - 1)
+        t = np.cumprod(np.concatenate(([1.0], (n / 2 + i) * w / (n + i))))
+        return rho / (n - 1) * w ** (n - 1) * float(t.sum())
+    coeffs, amp = _g0_terms(n)
+    lz = math.log(z) if dim.is_even else 1.0
+    return sum(c * z**i for i, c in coeffs.items()) + amp * z**rho * lz
+
+
+# 0.1 is the split itself; just above it the series sums 394, 273 (> 256)
+# and 183 (> 128) terms, at 0.999 and 1 - 1e-9 fewer than 8
+_G0_ZS = [1e-300, 1e-12, 0.003, 0.0999, 0.1, 0.10000000000000002, 0.14, 0.2,
+          0.5, 0.9, 0.999, 1 - 1e-9]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_g0_values_match_one_z_at_a_time(n):
+    dim = Dimension(n)
+    zs = _G0_ZS + _G0_ZS[::-1]  # both sides of the split, interleaved
+    expected = [_g0_one_at_a_time(dim, z) for z in zs]
+    assert np.array(_g0_values(dim, zs)).tobytes() == np.array(expected).tobytes()
+    assert [_g0_pair(dim, z)[0] for z in zs] == expected
+    assert [G_k(dim, 0, z) for z in zs] == expected
+    assert _g0_values(dim, []) == []
+    # more rows above the split than one block of the term array holds
+    zs = np.linspace(0.05, 0.999, 2500).tolist()
+    expected = [_g0_one_at_a_time(dim, z) for z in zs]
+    assert np.array(_g0_values(dim, zs)).tobytes() == np.array(expected).tobytes()
+
+
+@given(st.integers(3, 8), st.lists(st.floats(5e-324, 1 - 2**-53), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_g0_values_bits_do_not_depend_on_the_batch(n, zs):
+    dim = Dimension(n)
+    values = np.array(_g0_values(dim, zs))
+    assert values.tobytes() == np.array([_g0_pair(dim, z)[0] for z in zs]).tobytes()
 
 
 def test_wronskian_residual_rejects_non_integer_order():
