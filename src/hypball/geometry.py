@@ -81,5 +81,11 @@ def cos_angle(x, y):
     nx, nys = x.norm, row_norms(ys)
     if nx == 0 or 0.0 in nys.tolist():
         raise ValueError("angle at the origin undefined for the zero vector")
-    c = np.minimum(1.0, np.maximum(-1.0, np.vecdot(ys, x.coords) / (nx * nys)))
+    return _cosines(x.coords, nx, ys, nys, single)
+
+
+def _cosines(xc, nx, ys, nys, single):
+    """cos_angle from what a caller already holds: the coordinates xc of x,
+    its nonzero norm nx, the C-contiguous rows ys and their nonzero norms nys."""
+    c = np.minimum(1.0, np.maximum(-1.0, np.vecdot(ys, xc) / (nx * nys)))
     return float(c[0]) if single else c

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point, as_rows, cos_angle, row_norms, sphere_area
+from .geometry import Point, _cosines, as_rows, row_norms, sphere_area
 from .specfun import F_k, G_k, _as_order, _block_end, _g0_values, gegenbauer_sequence
 
 
@@ -70,9 +70,32 @@ def _boundary_block(fn, dim, z, k0, k1):
 def _at_boundary(fn, dim, k, z):
     """fn(dim, k, z) at the boundary z = r^2. A block of consecutive orders
     is cached: the tables revisit the same blocks at every |x|, |y|."""
-    if np.ndim(k) and k.size and np.all(np.diff(k) == 1):
+    if np.ndim(k) and k.size and (k[1:] - k[:-1] == 1).all():
         return _boundary_block(fn, dim, z, int(k[0]), int(k[-1]) + 1)
     return fn(dim, k, z)
+
+
+@functools.lru_cache(maxsize=256)
+def _boundary_kappa(dim, z, k0, k1):
+    """kappa_k = F_k(z)/(1-z)^rho for k0 <= k < k1 at the boundary z = r^2,
+    from the cached F_k(r^2) block: one array per ball and block of orders."""
+    return _boundary_block(F_k, dim, z, k0, k1) / (1 - z) ** dim.rho
+
+
+@functools.lru_cache(maxsize=64)
+def _orders(n, k0, k1):
+    """What a table block of the orders k0..k1 needs from n alone: k,
+    (k+rho)/rho, C_k(1) = binom(k+n-3, n-3), the mask k >= 1, and per series
+    the k-factors of its step-ratio bound q_k = base A B / C, with (A, B, C)
+    = (k+1+rho, k+n-2, (k+rho)(k+1)) for the Poisson series (base |x|/r) and
+    (k+n-2, k+n-1, (k+1)(k+n/2-1)) for the image series (base |x||y|/r^2)."""
+    ks = np.arange(k0, k1 + 1)
+    ks.flags.writeable = False  # handed to the coefficient functions
+    rho = (n - 2) / 2
+    steps = {"poisson": (ks + 1 + rho, ks + n - 2, (ks + rho) * (ks + 1)),
+             "green": (ks + n - 2, ks + n - 1, (ks + 1) * (ks + n / 2 - 1))}
+    c_at_1 = np.prod([(ks + j) / j for j in range(1, n - 2)], axis=0)
+    return ks, (ks + rho) / rho, c_at_1, ks >= 1, steps
 
 
 def poisson_coefficient(D, k, ax):
@@ -93,37 +116,40 @@ def poisson_coefficient(D, k, ax):
     return _powers(ax / D.r, k) * F_k(D.dim, k, ax**2) / fr
 
 
-def _series_table(name, D, coefficient, ratio, scale, ctl):
+def _series_table(name, D, coefficient, base, scale, ctl):
     """Terms 0..K-1 of a_k = (k+rho)/rho * coefficient(k), K >= 1 the first
     order whose proven bound on the tail sum_(k >= K) m_k, m_k = |a_k| C_k(1)
     >= |a_k C_k(cos)|, is below ctl.tol * scale. The coefficients come in
-    the blocks of orders of _block_end, and each block is cut at once.
+    the blocks of orders of _block_end, and each block is cut at once. A
+    table computes coefficient(k) and the cut; what depends on n alone comes
+    from _orders, kappa_k from _boundary_kappa.
 
     For j >= k >= 1, m_j <= m_k kappa_k q_k^(j-k) with kappa_k =
-    F_k(r^2)/(1-r^2)^rho and q_k = ratio(k), which decreases in k; so the
-    tail from K is at most m_K kappa_K / (1 - q_K) when q_K < 1. Proof: by
-    Euler's integral (DLMF 15.6.1) F_k(z) = E[(1 - zT)^rho], T ~ Beta(k,
-    n/2), so (1-z)^rho <= F_(k+1)(z) <= F_k(z); G_k(z) = (1-z)^(n-1) E[p_B]
-    / p_(k-1), B ~ Bin(k-1, 1-z), with p_i = (n/2)_i/(n)_i decreasing, so
-    G_(k+1)/G_k <= p_(k-1)/p_k = (n+k-1)/(n/2+k-1); and C_(k+1)(1)/C_k(1) =
-    (k+n-2)/(k+1). Raises SeriesTruncationError, with the bound over scale,
-    when k_max is reached first."""
-    rho, target = D.dim.rho, ctl.tol * scale
+    F_k(r^2)/(1-r^2)^rho and q_k the step-ratio bound of series `name` in
+    _orders at this base, which decreases in k; so the tail from K is at
+    most m_K kappa_K / (1 - q_K) when q_K < 1. Proof: by Euler's integral
+    (DLMF 15.6.1) F_k(z) = E[(1 - zT)^rho], T ~ Beta(k, n/2), so (1-z)^rho
+    <= F_(k+1)(z) <= F_k(z); G_k(z) = (1-z)^(n-1) E[p_B] / p_(k-1), B ~
+    Bin(k-1, 1-z), with p_i = (n/2)_i/(n)_i decreasing, so G_(k+1)/G_k <=
+    p_(k-1)/p_k = (n+k-1)/(n/2+k-1); and C_(k+1)(1)/C_k(1) = (k+n-2)/(k+1).
+    Raises SeriesTruncationError, with the bound over scale, when k_max is
+    reached first."""
+    dim, z, target = D.dim, D.r**2, ctl.tol * scale
     blocks, k0 = [], 0
     while k0 <= ctl.k_max:
-        ks = np.arange(k0, min(_block_end(k0), ctl.k_max) + 1)
-        block = (ks + rho) / rho * coefficient(ks)
-        # C_k(1) = binom(k+n-3, n-3)
-        c_at_1 = np.prod([(ks + j) / j for j in range(1, D.dim.n - 2)], axis=0)
-        kappa = _at_boundary(F_k, D.dim, ks, D.r**2) / (1 - D.r**2) ** rho
-        q = ratio(ks)
+        k1 = min(_block_end(k0), ctl.k_max)
+        ks, weight, c_at_1, after_0, steps = _orders(dim.n, k0, k1)
+        block = weight * coefficient(ks)
+        a, b, c = steps[name]
+        q = base * a * b / c
         with np.errstate(divide="ignore"):
-            bound = np.abs(block) * c_at_1 * kappa / np.where(q < 1, 1 - q, 0.0)
-        met = (ks >= 1) & (bound < target)
+            bound = (np.abs(block) * c_at_1 * _boundary_kappa(dim, z, k0, k1 + 1)
+                     / np.where(q < 1, 1 - q, 0.0))
+        met = after_0 & (bound < target)
         if met.any():
             return np.concatenate(blocks + [block[: np.argmax(met)]])
         blocks.append(block)
-        k0 = int(ks[-1]) + 1
+        k0 = k1 + 1
     raise SeriesTruncationError(
         f"{name} series tail bound {bound[-1] / scale:.3e} exceeds tol "
         f"{ctl.tol:.3e} at k_max={ctl.k_max}",
@@ -136,10 +162,8 @@ def _poisson_table(D, ax, ctl):
     """Coefficients a_k = (k+rho)/rho * poisson_coefficient(k) up to the
     truncation point, cached per (domain, |x|, control). Both table caches
     keep 64: a CLI command revisits a few tables, a new |x| none."""
-    t, rho, n = ax / D.r, D.dim.rho, D.dim.n
     return _series_table(
-        "poisson", D, lambda ks: poisson_coefficient(D, ks, ax),
-        lambda k: t * (k + 1 + rho) * (k + n - 2) / ((k + rho) * (k + 1)),
+        "poisson", D, lambda ks: poisson_coefficient(D, ks, ax), ax / D.r,
         sphere_area(D.dim, D.r), ctl,
     )
 
@@ -165,16 +189,16 @@ def poisson_kernel(D, x, y, ctl=SeriesControl()):
     (m,)); all of them share the one table of |x|.
     """
     ys, single = as_rows(D.dim.n, x, y)
-    r, ax = D.r, x.norm
+    r, ax, nys = D.r, x.norm, row_norms(ys)
     if not ax < r:
         raise ValueError("x must lie inside the ball")
-    if not all(abs(ny - r) <= 1e-12 for ny in row_norms(ys).tolist()):
+    if not all(abs(ny - r) <= 1e-12 for ny in nys.tolist()):
         raise ValueError("y must lie on the sphere |y| = r")
     area = sphere_area(D.dim, r)
     if ax == 0.0:
         return 1.0 / area if single else np.full(len(ys), 1.0 / area)
     a = _poisson_table(D, ax, ctl)
-    return _gegenbauer_sums(D.dim.rho, a, cos_angle(x, y)) / area
+    return _gegenbauer_sums(D.dim.rho, a, _cosines(x.coords, ax, ys, nys, single)) / area
 
 
 def _image_coefficient(D, k, ax, ay):
@@ -222,11 +246,9 @@ def green_coefficient(D, k, ax, R):
 @functools.lru_cache(maxsize=64)
 def _image_table(D, ax, ay, ctl):
     """Terms (k+rho)/rho * _image_coefficient(k, ax, ay) up to truncation;
-    their step ratio bound tends to s = ax ay / r^2 < 1."""
-    s, n = ax * ay / D.r**2, D.dim.n
+    their step ratio bound has base s = ax ay / r^2 < 1 and tends to it."""
     return _series_table(
-        "green", D, lambda ks: _image_coefficient(D, ks, ax, ay),
-        lambda k: s * (k + n - 2) * (k + n - 1) / ((k + 1) * (k + n / 2 - 1)),
+        "green", D, lambda ks: _image_coefficient(D, ks, ax, ay), ax * ay / D.r**2,
         1.0, ctl,
     )
 
@@ -249,7 +271,8 @@ def green_function(D, x, y, ctl=SeriesControl()):
     ys, single = as_rows(D.dim.n, x, y)
     diffs = x.coords - ys
     # Python floats from here on: float ** is what a Point call takes
-    ax, ays, d2s = x.norm, row_norms(ys).tolist(), np.vecdot(diffs, diffs).tolist()
+    nys = row_norms(ys)
+    ax, ays, d2s = x.norm, nys.tolist(), np.vecdot(diffs, diffs).tolist()
     if not (ax < D.r and all(ay < D.r for ay in ays)):
         raise ValueError("both points must lie inside the ball")
     if 0.0 in d2s:
@@ -267,7 +290,8 @@ def green_function(D, x, y, ctl=SeriesControl()):
                 values[i] = g
             continue
         b = _image_table(D, lo, hi, ctl)
-        image = _gegenbauer_sums(rho, b, cos_angle(x, y if single else ys[idx]))
+        at = slice(None) if single else idx
+        image = _gegenbauer_sums(rho, b, _cosines(x.coords, ax, ys[at], nys[at], single))
         # 1 - 2 x.y + |x|^2 |y|^2 = (1 - |x|^2)(1 - |y|^2) + |x - y|^2
         q = (1 - ax**2) * (1 - ay**2)
         zs += [d2s[i] / (q + d2s[i]) for i in idx]

@@ -46,7 +46,12 @@ def _hyp_sweep(a, b, c, z):
 
 
 def _as_order(k):
-    """k as a non-negative integer order: an int, or an int array for an array k."""
+    """k as a non-negative integer order: an int, or an int array for an array
+    k; a non-negative int, or int array, comes back as it is."""
+    if type(k) is int and k >= 0:
+        return k
+    if type(k) is np.ndarray and k.ndim and k.dtype == int and (not k.size or k.min() >= 0):
+        return k
     ka = np.asarray(k)
     if np.any(ka < 0) or np.any(ka != np.round(ka)):
         raise ValueError("k must be a non-negative integer")
@@ -70,6 +75,8 @@ def _block_end(k):
     """Last order of the block of orders holding order k (or each of an int
     array k): the blocks are 0..63 and then each twice as long as the last,
     so 63, 191, 447, 959, 1983, ... (frexp's exponent is the bit length)."""
+    if type(k) is int:
+        return 64 * (2 ** (k // 64 + 1).bit_length() - 1) - 1
     return 64 * (2 ** np.frexp(k // 64 + 1)[1] - 1) - 1
 
 
@@ -253,23 +260,35 @@ def G_k(dim, k, z):
 
 
 def gegenbauer_sequence(v, kmax, x):
-    """All of C_0^(v)(x) .. C_kmax^(v)(x), v > 0, in one sweep.
-
-    x may be a scalar or an array; the result has shape (kmax+1,) + x.shape.
-    A scalar x runs the recurrence on Python floats.
-    """
+    """All of C_0^(v)(x) .. C_kmax^(v)(x), v > 0, in one sweep of k C_k =
+    2x (k+v-1) C_(k-1) - (k+2v-2) C_(k-2), 2x taken once and the step factors
+    k+v-1, k+2v-2 Python floats from one np.arange. x may be a scalar (Python
+    floats into a list) or an array (the same float operations in place on
+    the rows, so each cosine gets the bits of its scalar call); the result
+    has shape (kmax+1,) + x.shape."""
     if v <= 0:
         raise ValueError("needs v > 0")
-    x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
-    out = np.empty((kmax + 1,) + np.shape(x))
-    out[0] = 1.0
-    if kmax < 1:
-        return out
-    c_prev, c = 1.0, 2 * v * x
-    out[1] = c
-    for k in range(2, kmax + 1):
-        c_prev, c = c, (2 * x * (k + v - 1) * c - (k + 2 * v - 2) * c_prev) / k
-        out[k] = c
+    ks = np.arange(2, kmax + 1)
+    steps = zip(range(2, kmax + 1), (ks + v - 1).tolist(), (ks + 2 * v - 2).tolist())
+    if type(x) is float or np.ndim(x) == 0:
+        x = float(x)
+        x2, c_prev, c = 2 * x, 1.0, 2 * v * x
+        values = [c_prev, c][: kmax + 1]
+        for k, a, b in steps:
+            c_prev, c = c, (x2 * a * c - b * c_prev) / k
+            values.append(c)
+        return np.array(values)
+    x = np.asarray(x, dtype=float)
+    out = np.empty((kmax + 1,) + x.shape)
+    out[0], out[1:2] = 1.0, 2 * v * x
+    x2, t = 2 * x, np.empty(x.shape)
+    for k, a, b in steps:
+        c = out[k]
+        np.multiply(x2, a, out=t)
+        np.multiply(t, out[k - 1], out=t)
+        np.multiply(out[k - 2], b, out=c)
+        np.subtract(t, c, out=c)
+        np.divide(c, k, out=c)
     return out
 
 

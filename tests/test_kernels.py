@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mp_reference
@@ -346,6 +347,54 @@ def test_array_rows_match_single_points(n, r):
         green_function(D, x, np.array([near, x.coords]))
     with pytest.raises(ValueError):
         green_function(D, x, np.array([near, 1.05 * sphere[0]]))
+
+
+# SHA-256 prefixes of the one-Point values of each n: 3 radii r, 3 ratios
+# |x|/r, 3 angles, and |y| in {|x|/2, |x|}; see test_point_values_are_pinned
+_POINT_DIGESTS = {
+    3: "58b169ab839dd594",
+    4: "38697beaf80d2625",
+    5: "fea45d36f3efea9f",
+    6: "20944345467d60b8",
+    7: "89da05f1a1756a91",
+    8: "fbdd2ae4430fed0e",
+}
+
+
+def point_values(n):
+    """poisson_kernel and green_function at one Point at a time, each table
+    first cold (the table caches cleared) and then warm; a Poisson table
+    that misses tol within k_max gives its achieved tail bound."""
+    values = []
+    for r in (0.3, 0.6, 0.95):
+        D = ball(n, r)
+        for q in (0.2, 0.7, 0.97):
+            x = on_sphere(q * r, 0.3, n)
+            _poisson_table.cache_clear()
+            _image_table.cache_clear()
+            for _ in ("cold", "warm"):
+                for theta in (0.4, 1.9, 3.0):
+                    try:
+                        values.append(poisson_kernel(D, x, on_sphere(r, 0.3 + theta, n)))
+                    except SeriesTruncationError as exc:
+                        values.append(exc.achieved)
+                    for f in (0.5, 1.0):
+                        y = on_sphere(f * x.norm, 0.3 + theta, n)
+                        values.append(green_function(D, x, y))
+    return values
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_point_values_are_pinned(n):
+    # the cold one-Point path keeps its bits; at n = 4, r = 0.3, |x|/r =
+    # 0.97 the Poisson table runs into its fifth block of orders (960..)
+    values = point_values(n)
+    assert all(math.isfinite(v) for v in values)
+    if n == 4:
+        x = on_sphere(0.97 * 0.3, 0.3, n)
+        assert len(_poisson_table(ball(4, 0.3), x.norm, SeriesControl())) > 960
+    data = np.array(values).tobytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == _POINT_DIGESTS[n]
 
 
 def test_green_truncation_error():

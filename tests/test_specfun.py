@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from reference_helpers import gegenbauer
 
 from hypball.geometry import unit_sphere_area
@@ -15,6 +15,8 @@ from hypball.specfun import (
     Dimension,
     F_k,
     G_k,
+    _as_order,
+    _block_end,
     _f_pair,
     _g0_pair,
     _g0_terms,
@@ -299,6 +301,89 @@ def test_gegenbauer_ratio_at_one():
         for k in range(6):
             ratio = gegenbauer_at_one(v, k + 1) / gegenbauer_at_one(v, k)
             assert ratio == pytest.approx((k + n - 2) / (k + 1), rel=1e-13)
+
+
+def recurrence_reference(v, kmax, x):
+    """C_0^(v)(x) .. C_kmax^(v)(x) by the three-term recurrence written out
+    in full at every order: the float operations gegenbauer_sequence must
+    keep, bit for bit."""
+    x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    out = np.empty((kmax + 1,) + np.shape(x))
+    out[0] = 1.0
+    if kmax < 1:
+        return out
+    c_prev, c = 1.0, 2 * v * x
+    out[1] = c
+    for k in range(2, kmax + 1):
+        c_prev, c = c, (2 * x * (k + v - 1) * c - (k + 2 * v - 2) * c_prev) / k
+        out[k] = c
+    return out
+
+
+_cosines = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@given(
+    # the half-integer rho of n = 3..8, and any v, whose k+v-1 and k+2v-2 round
+    st.one_of(st.sampled_from([0.5, 1, 1.5, 2, 2.5, 3]), st.floats(0.01, 4.0)),
+    st.integers(0, 3000),
+    st.one_of(_cosines, _cosines.map(np.float64), st.lists(_cosines, max_size=6)),
+)
+@example(0.5, 0, 0.3)
+@example(1, 1, [-1.0, -0.0, 1.0])
+@example(2.5, 2, -5e-324)
+@example(1.5, 0, [0.2, 0.9])
+@example(3, 2, [])
+@settings(max_examples=60, deadline=None)
+def test_gegenbauer_sequence_keeps_the_recurrence_bits(v, kmax, x):
+    if isinstance(x, list):
+        x = np.array(x)
+    got, want = gegenbauer_sequence(v, kmax, x), recurrence_reference(v, kmax, x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # each cosine of an array gets the bits of the scalar call
+    for i, xi in enumerate(np.atleast_1d(x).tolist()):
+        assert gegenbauer_sequence(v, kmax, xi).tobytes() == got.reshape(kmax + 1, -1)[:, i].tobytes()
+
+
+def checked_order(k):
+    """_as_order's general path: np.asarray, a sign and an integrality check."""
+    ka = np.asarray(k)
+    if np.any(ka < 0) or np.any(ka != np.round(ka)):
+        raise ValueError("k must be a non-negative integer")
+    return ka.astype(int) if ka.ndim else int(ka)
+
+
+@pytest.mark.parametrize("k", [
+    0, 7, 2**40, -1, np.int64(3), np.int64(-3), 2.0, 2.5, -1.0,
+    np.array([], dtype=int), np.array([], dtype=float), np.arange(5), np.array([3, -1]),
+    np.array([1.0, 2.0]), np.array([1.0, 2.5]), np.array([2, 5], dtype=np.int32),
+    np.array(4), np.array(-2), np.array(2.0), np.array(2.5), np.arange(6).reshape(2, 3),
+], ids=lambda k: f"{type(k).__name__}-{np.asarray(k).dtype}-{np.asarray(k).tolist()}")
+def test_as_order_matches_the_checked_conversion(k):
+    try:
+        want = checked_order(k)
+    except ValueError:
+        with pytest.raises(ValueError, match="non-negative integer"):
+            _as_order(k)
+        return
+    got = _as_order(k)
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+def test_block_end_of_an_int_matches_the_array_path():
+    ks = np.arange(100001)
+    assert [_block_end(k) for k in ks.tolist()] == _block_end(ks).tolist()
+    assert _block_end(np.array([0, 63, 64, 191, 192, 447, 448])).tolist() == [
+        63, 63, 191, 191, 447, 447, 959,
+    ]
 
 
 def test_gegenbauer_sequence_shapes():
