@@ -7,7 +7,7 @@ simulation of the underlying stochastic differential equations."""
 __version__ = "0.1.0"
 
 from .specfun import Dimension, F_k, G_k, gegenbauer_at_one, wronskian_residual
-from .geometry import BallDomain, Point, cos_angle, sphere_area
+from .geometry import BallDomain, Point, sphere_area
 from .kernels import (
     SeriesControl,
     green_coefficient,

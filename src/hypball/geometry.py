@@ -73,19 +73,10 @@ def row_norms(ys):
     return np.sqrt(np.vecdot(ys, ys))
 
 
-def cos_angle(x, y):
-    """cos of the angle at the origin between x and y, clamped to [-1, 1]
-    so downstream Gegenbauer arguments stay in range. y is a Point (a float
-    back) or an (m, n) array (an array back, each row the Point call's bits)."""
-    ys, single = as_rows(x.coords.size, x, y)
-    nx, nys = x.norm, row_norms(ys)
-    if nx == 0 or 0.0 in nys.tolist():
-        raise ValueError("angle at the origin undefined for the zero vector")
-    return _cosines(x.coords, nx, ys, nys, single)
-
-
 def _cosines(xc, nx, ys, nys, single):
-    """cos_angle from what a caller already holds: the coordinates xc of x,
-    its nonzero norm nx, the C-contiguous rows ys and their nonzero norms nys."""
+    """cos of the angle at the origin between x and each row of ys, clamped
+    to [-1, 1] for the Gegenbauer argument, from what a caller holds: x's
+    coordinates xc and nonzero norm nx, the C-contiguous rows ys and their
+    nonzero norms nys. A float back when single, else an array."""
     c = np.minimum(1.0, np.maximum(-1.0, np.vecdot(ys, xc) / (nx * nys)))
     return float(c[0]) if single else c

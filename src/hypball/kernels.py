@@ -60,26 +60,34 @@ def _powers(q, k):
     return q**k if np.ndim(k) == 0 else np.array([q**j for j in k.tolist()])
 
 
-@functools.lru_cache(maxsize=256)
-def _boundary_block(fn, dim, z, k0, k1):
-    values = fn(dim, np.arange(k0, k1), z)
-    values.flags.writeable = False  # shared by every caller
-    return values
+class _Boundary:
+    """The boundary values of the ball |x| < r at the orders k0..k1, z = r^2:
+    F_k(z), checked once not to vanish, kappa_k = F_k(z)/(1-z)^rho, and
+    G_k(z) on first use, as only the Green function reads it. _boundary
+    keeps one record per ball and block of orders, as the tables revisit the
+    same blocks at every |x|, |y|; a build that raised is not kept."""
+
+    def __init__(self, dim, z, k0, k1):
+        self.dim, self.z, self.k0, self.k1 = dim, z, k0, k1
+        self.f = F_k(dim, np.arange(k0, k1 + 1), z)
+        if np.any(np.abs(self.f) < 1e-14):
+            raise RuntimeError("F_k(r^2) vanished; radial solution is corrupt")
+        self.kappa = self.f / (1 - z) ** dim.rho
+
+    @functools.cached_property
+    def g(self):
+        return G_k(self.dim, np.arange(self.k0, self.k1 + 1), self.z)
 
 
-def _at_boundary(fn, dim, k, z):
-    """fn(dim, k, z) at the boundary z = r^2. A block of consecutive orders
-    is cached: the tables revisit the same blocks at every |x|, |y|."""
-    if np.ndim(k) and k.size and (k[1:] - k[:-1] == 1).all():
-        return _boundary_block(fn, dim, z, int(k[0]), int(k[-1]) + 1)
-    return fn(dim, k, z)
+_boundary = functools.lru_cache(maxsize=256)(_Boundary)
 
 
-@functools.lru_cache(maxsize=256)
-def _boundary_kappa(dim, z, k0, k1):
-    """kappa_k = F_k(z)/(1-z)^rho for k0 <= k < k1 at the boundary z = r^2,
-    from the cached F_k(r^2) block: one array per ball and block of orders."""
-    return _boundary_block(F_k, dim, z, k0, k1) / (1 - z) ** dim.rho
+def _at_boundary(D, k):
+    """The boundary record of D at the orders min(k)..max(k) of an order k or
+    int array k (order 0's for an empty array), and the index of k in it."""
+    k1 = int(np.max(k, initial=0))
+    k0 = int(np.min(k, initial=k1))
+    return _boundary(D.dim, D.r**2, k0, k1), k - k0
 
 
 @functools.lru_cache(maxsize=64)
@@ -110,10 +118,9 @@ def poisson_coefficient(D, k, ax):
     k = _as_order(k)
     if not 0 <= ax < D.r:
         raise ValueError("needs 0 <= ax < r")
-    fr = _at_boundary(F_k, D.dim, k, D.r**2)
-    if np.any(np.abs(fr) < 1e-14):
-        raise RuntimeError("F_k(r^2) vanished; radial solution is corrupt")
-    return _powers(ax / D.r, k) * F_k(D.dim, k, ax**2) / fr
+    b, i = _at_boundary(D, k)
+    value = _powers(ax / D.r, k) * F_k(D.dim, k, ax**2) / b.f[i]
+    return float(value) if np.ndim(k) == 0 else value
 
 
 def _series_table(name, D, coefficient, base, scale, ctl):
@@ -122,7 +129,7 @@ def _series_table(name, D, coefficient, base, scale, ctl):
     >= |a_k C_k(cos)|, is below ctl.tol * scale. The coefficients come in
     the blocks of orders of _block_end, and each block is cut at once. A
     table computes coefficient(k) and the cut; what depends on n alone comes
-    from _orders, kappa_k from _boundary_kappa.
+    from _orders, kappa_k from the boundary record of the block.
 
     For j >= k >= 1, m_j <= m_k kappa_k q_k^(j-k) with kappa_k =
     F_k(r^2)/(1-r^2)^rho and q_k the step-ratio bound of series `name` in
@@ -143,7 +150,7 @@ def _series_table(name, D, coefficient, base, scale, ctl):
         a, b, c = steps[name]
         q = base * a * b / c
         with np.errstate(divide="ignore"):
-            bound = (np.abs(block) * c_at_1 * _boundary_kappa(dim, z, k0, k1 + 1)
+            bound = (np.abs(block) * c_at_1 * _boundary(dim, z, k0, k1).kappa
                      / np.where(q < 1, 1 - q, 0.0))
         met = after_0 & (bound < target)
         if met.any():
@@ -208,14 +215,13 @@ def _image_coefficient(D, k, ax, ay):
 
     s = ax ay / r^2 < 1, for an integer k or array of k."""
     dim, rho, r = D.dim, D.dim.rho, D.r
-    fr = _at_boundary(F_k, dim, k, r**2)
-    if np.any(np.abs(fr) < 1e-14):
-        raise RuntimeError("F_k(r^2) vanished; radial solution is corrupt")
+    b, i = _at_boundary(D, k)
     radial = F_k(dim, k, ax**2) * F_k(dim, k, ay**2) * _powers(ax * ay / r**2, k)
-    return (
+    value = (
         _green_prefactor(dim) * rho / (k + rho) * radial
-        * _at_boundary(G_k, dim, k, r**2) / (fr * r ** (2 * rho))
+        * b.g[i] / (b.f[i] * r ** (2 * rho))
     )
+    return float(value) if np.ndim(k) == 0 else value
 
 
 def green_coefficient(D, k, ax, R):

@@ -47,6 +47,7 @@ def test_cold_odd_tables_call_the_traced_F_k(monkeypatch):
         return real(dim, k, z)
 
     monkeypatch.setattr(kernels, "F_k", counting)
+    kernels._boundary.cache_clear()
     _poisson_table.cache_clear()
     _image_table.cache_clear()
     D = ball(5, 0.95)
@@ -57,6 +58,76 @@ def test_cold_odd_tables_call_the_traced_F_k(monkeypatch):
     y = Point([0, 0.611, 0, 0, 0])
     green_function(D, x, y)
     assert x.norm**2 in seen and y.norm**2 in seen
+
+
+def test_traced_names_do_not_rebuild_boundary_records(monkeypatch):
+    # the tracer wraps kernels.F_k and kernels.G_k; a boundary record is kept
+    # per (n, r^2, orders), whatever those names are bound to, so tables at a
+    # new |x| in a warm ball read F_k(r^2) and G_k(r^2) from their records
+    D, z = ball(5, 0.95), 0.95**2
+    y, on = Point([0, 0.611, 0, 0, 0]), on_sphere(0.95, 1.0, 5)
+    warm = Point([0.437, 0, 0, 0, 0])
+    _poisson_table.cache_clear()
+    _image_table.cache_clear()
+    poisson_kernel(D, warm, on)
+    green_function(D, warm, y)
+    seen, misses = [], kernels._boundary.cache_info().misses
+    for name in ("F_k", "G_k"):
+
+        def wrapper(dim, k, z, fn=getattr(kernels, name)):
+            seen.append(z)
+            return fn(dim, k, z)
+
+        monkeypatch.setattr(kernels, name, wrapper)
+    x = Point([0.431, 0, 0, 0, 0])
+    poisson_kernel(D, x, on)
+    green_function(D, x, y)
+    assert x.norm**2 in seen and z not in seen
+    assert kernels._boundary.cache_info().misses == misses
+
+
+def test_order_arrays_match_scalar_calls():
+    # any int array of orders reads the record of min(k)..max(k): unsorted,
+    # repeated, gapped (across the odd-n blocks of F_k) and empty arrays give
+    # the bits of the scalar calls, and a scalar order gives a Python float
+    for n in (4, 5):
+        D = ball(n, 0.95)
+        coefficients = [
+            lambda k: poisson_coefficient(D, k, 0.5),
+            lambda k: green_coefficient(D, k, 0.3, 0.7),
+            lambda k: _image_coefficient(D, k, 0.3, 0.7),
+        ]
+        for coefficient in coefficients:
+            for ks in ([7, 2, 5], [3, 3, 0, 3], [0, 64, 200, 1500], []):
+                kernels._boundary.cache_clear()
+                values = coefficient(np.array(ks, dtype=int))
+                scalars = [coefficient(k) for k in ks]
+                assert all(type(v) is float for v in scalars)
+                assert values.tobytes() == np.array(scalars, dtype=float).tobytes()
+
+
+def test_vanishing_boundary_values_raise(monkeypatch):
+    # F_k(r^2) >= (1-r^2)^rho > 0, so only a corrupt radial layer trips the
+    # guard; a record whose build raised is not kept
+    D = ball(5, 0.95)
+    x, y = Point([0.437, 0, 0, 0, 0]), Point([0, 0.611, 0, 0, 0])
+    on, real = on_sphere(0.95, 1.0, 5), kernels.F_k
+    calls = [
+        lambda: poisson_coefficient(D, 3, 0.5),
+        lambda: poisson_kernel(D, x, on),
+        lambda: green_function(D, x, y),
+    ]
+    monkeypatch.setattr(
+        kernels, "F_k", lambda dim, k, z: real(dim, k, z) * (z != D.r**2)
+    )
+    kernels._boundary.cache_clear()
+    _poisson_table.cache_clear()
+    _image_table.cache_clear()
+    for call in calls:
+        with pytest.raises(RuntimeError, match="vanished"):
+            call()
+    monkeypatch.undo()
+    assert all(math.isfinite(call()) for call in calls)
 
 
 def test_series_control_validation():
