@@ -21,9 +21,6 @@ from .specfun import F_k
 # the weight formula itself needs no band
 _CRITICAL_BAND = 1e-12
 
-# boundary nodes of a first winding count, doubled until two windings agree
-_WINDING_NODES = 4096
-
 
 @dataclass(frozen=True)
 class QuadratureControl:
@@ -34,11 +31,10 @@ class QuadratureControl:
     Gauss-Legendre rule; the 21-point sum is its value and the difference
     of the two its error estimate. Each round bisects, for every value
     whose summed estimate is above max(abs_tol, 1e-12 |value|), that
-    value's worst panel; a value that would need more than
-    max_subdivisions panels raises RuntimeError."""
+    value's worst panel; a value that would need more than _MAX_PANELS
+    panels raises RuntimeError."""
 
     abs_tol: float = 1e-10
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if not 0 < self.abs_tol < math.inf:
@@ -47,6 +43,7 @@ class QuadratureControl:
 
 # node values evaluated at once; bounds the panel work arrays
 _CHUNK_VALUES = 2**18
+_MAX_PANELS = 200  # panels one quadrature may use before it raises
 
 
 @functools.cache
@@ -81,7 +78,7 @@ def _integrate_decaying(f, beta, ctl):
         if not unmet.any():
             return total
         worst = np.unique(np.argmax(err[:, unmet], axis=0))
-        if lo.size + worst.size > ctl.max_subdivisions:
+        if lo.size + worst.size > _MAX_PANELS:
             raise RuntimeError(
                 f"quadrature error estimate {est[unmet].max():.3e} above "
                 f"requested {ctl.abs_tol:.3e} with {lo.size} panels"
@@ -458,45 +455,26 @@ def conjecture1_residual(dim, z, k):
 
 
 def conjecture2_zero_count(dim, z, rect):
-    """Count zeros of F_k(z), as a function of complex k, inside the
-    rectangle rect = (re_lo, re_hi, im_lo, im_hi) by the argument
-    principle (phase winding along the boundary, node count doubled from
-    _WINDING_NODES until the winding number stabilizes near an integer).
-
-    Even n only: the winding is that of the radial polynomial P_z, so the
-    zeros that 1/Gamma factors give f_z, which are not zeros of F_k(z), are
-    not counted. The zero-freeness hypothesis concerns Re k >= -n/2 - eps
-    (probing convention eps = 0.1).
+    """Count zeros of F_k(z), as a function of complex k, strictly inside
+    the rectangle rect = (re_lo, re_hi, im_lo, im_hi): the roots of the
+    radial polynomial P_z, so the zeros that 1/Gamma factors give f_z, which
+    are not zeros of F_k(z), are not counted. Even n only. A root within
+    1e-7 max(1, |k|) of the boundary raises RuntimeError. The zero-freeness
+    hypothesis concerns Re k >= -n/2 - eps (probing convention eps = 0.1).
     """
     if not 0 < z < 1:
         raise ValueError("needs z in (0, 1)")
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ValueError("degenerate rectangle")
-    P = _radial_polynomial(dim, z)[1]
-    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi),
-               complex(re_lo, im_hi), complex(re_lo, im_lo)]
-
-    def boundary(m):
-        t = np.arange(max(m // 4, 8)) / max(m // 4, 8)
-        loop = np.concatenate([a + (b - a) * t for a, b in zip(corners, corners[1:])])
-        return np.append(loop, loop[0])
-
-    m = _WINDING_NODES
-    prev = None
-    while m <= 2**20:
-        vals = np.polyval(P, boundary(m))
-        mags = np.abs(vals)
-        if mags.min() < 1e-12 * mags.max():
+    count = 0
+    for p in np.roots(_radial_polynomial(dim, z)[1]).tolist():
+        # signed distance to the nearest edge, positive inside
+        gap = min(p.real - re_lo, re_hi - p.real, p.imag - im_lo, im_hi - p.imag)
+        if abs(gap) <= 1e-7 * max(1.0, abs(p)):
             raise RuntimeError(
                 "contour passes too near a zero; perturb the rectangle "
                 "edges (e.g. shift by 1e-3)"
             )
-        phase = np.unwrap(np.angle(vals))
-        winding = (phase[-1] - phase[0]) / (2 * math.pi)
-        rounded = round(winding)
-        if abs(winding - rounded) < 0.25 and prev == rounded:
-            return int(rounded)
-        prev = rounded
-        m *= 2
-    raise RuntimeError("winding number did not stabilize")
+        count += int(gap > 0)  # a Python int also when rect holds NumPy floats
+    return count

@@ -25,6 +25,7 @@ from .specfun import _as_order, gegenbauer_at_one, gegenbauer_sequence
 
 _BLOCK = 1 << 14
 _POLE_SUBSTEPS = 4  # pole substeps; each draws n-1 normals of the seeded stream
+_R_FLOOR = 1e-8  # the polar chains floor R here (hits counted)
 
 # scheme discriminators folded into the Philox key so the three kinds of
 # simulation never share a stream even under the same seed
@@ -46,7 +47,6 @@ class SdeConfig:
     n_paths: int
     seed: int
     max_steps: int = 20000
-    r_floor: float = 1e-8
     scheme: str = "cartesian"
     exit_mode: str = "bridge"
 
@@ -60,8 +60,6 @@ class SdeConfig:
             raise ValueError("seed must lie in [0, 2**64)")
         if self.n_paths < 1 or self.max_steps < 1:
             raise ValueError("n_paths and max_steps must be >= 1")
-        if not 0 < self.r_floor < 1:
-            raise ValueError("r_floor must be in (0, 1)")
         if self.scheme not in ("cartesian", "polar"):
             raise ValueError("scheme must be 'cartesian' or 'polar'")
         if self.exit_mode not in ("bridge", "grid"):
@@ -292,9 +290,9 @@ def _polar_grid_core(dim, R0, D, cfg):
             np.sqrt(R) * root * xi[:, 0] + ((n - 4) * R + n) * cfg.dt
         )
         clamps = 0
-        if Rn.min() < cfg.r_floor:
-            clamps = int(np.count_nonzero(Rn < cfg.r_floor))
-            Rn = np.maximum(Rn, cfg.r_floor)
+        if Rn.min() < _R_FLOOR:
+            clamps = int(np.count_nonzero(Rn < _R_FLOOR))
+            Rn = np.maximum(Rn, _R_FLOOR)
         phi = phi + one_m * np.sqrt(
             np.clip(1 - phi * phi, 0, None) / R
         ) * root * xi[:, 1] - (n - 1) * one_m * one_m / R * phi * cfg.dt
@@ -403,7 +401,7 @@ def _polar_bridge_core(dim, R0, D, cfg, stream, gauge=False):
     crossing, the bridge typically crosses earlier than the chord does."""
     n = dim.n
     S_bar = math.atanh(D.r)
-    S_floor = math.atanh(math.sqrt(cfg.r_floor))
+    S_floor = math.atanh(math.sqrt(_R_FLOOR))
     root = math.sqrt(2 * cfg.dt)
 
     def step(state, rng):
@@ -451,7 +449,7 @@ def simulate_polar(dim, R0, D, cfg):
         dPhi = (1-R) sqrt((1-Phi^2)/R) dW2 - (n-1) (1-R)^2 / R Phi dt
 
     to the exit R >= r^2. In grid mode this is the plain Euler-Maruyama
-    discretization with variance-2dt increments, R floored at cfg.r_floor
+    discretization with variance-2dt increments, R floored at _R_FLOOR
     (floor hits counted; > 1% of steps warns), Phi clamped to [-1, 1] and
     exit taken at the first grid crossing; its O(sqrt(dt)) exit bias
     makes it the reference scheme for dt-refinement studies. Bridge mode
@@ -477,7 +475,8 @@ def estimate_gauge(dim, k, R0, D, cfg):
     (grid mode raises ValueError), k an integer order >= 0 with its own
     stream. Equals the normalized Gegenbauer coefficient of the exit law,
     so the analytic target is (sqrt(R0)/r)^k F_k(R0)/F_k(r^2). Censored
-    paths are excluded from the mean (and warned about beyond 0.1%)."""
+    paths are excluded from the mean (and warned about beyond 0.1%); fewer
+    than 2 exits raise RuntimeError."""
     _check_ball(dim, D)
     k = _as_order(k)
     if not 0 < R0 < D.r**2:
@@ -490,12 +489,10 @@ def estimate_gauge(dim, k, R0, D, cfg):
             f"censored fraction {samples.censored_fraction:.2e} exceeds 1e-3",
             RuntimeWarning,
         )
+    if len(samples) < 2:
+        raise RuntimeError(f"standard errors need 2 exit samples, got {len(samples)}")
     vals = np.exp(-(k * (k + dim.n - 2)) * samples.gauge_integral)
-    if len(vals) == 0:
-        return math.nan, math.inf
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else math.inf
-    return est, se
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
 def exit_coefficients(samples, dim, k_max):

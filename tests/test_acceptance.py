@@ -227,6 +227,7 @@ def test_accept_05_green_structure():
     print("green structure: PASS (vanishing, symmetry, derivative link; n=3..6)")
 
 
+@pytest.mark.slow
 def test_accept_06_monte_carlo_exit_law():
     # 1e6 paths, dt = 5e-4, start |x| = 0.3 in the r = 0.6 ball: both
     # schemes match the analytic coefficients to k = 5 within 3 standard

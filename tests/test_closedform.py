@@ -408,20 +408,21 @@ def test_array_rows_match_single_points(fn, n, r, radius):
         assert single == pytest.approx(row, rel=1e-9)
 
 
-def test_quadrature_failure_raises_without_warning():
+def test_quadrature_failure_raises_without_warning(monkeypatch):
     D = ball(6, 0.6)
     x = Point([0.5, 0, 0, 0, 0, 0])
     hard, easy = plane_points(6, 0.6, [0.05, 1.5])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        monkeypatch.setattr(closedform, "_MAX_PANELS", 1)
         with pytest.raises(RuntimeError, match="quadrature error estimate"):
-            poisson_integral(D, x, Point(hard), QuadratureControl(max_subdivisions=1))
+            poisson_integral(D, x, Point(hard))
         # four panels meet the tolerance at theta = 1.5 alone, but not at
         # 0.05, and one point that misses it fails the whole table
-        few = QuadratureControl(max_subdivisions=4)
-        poisson_integral(D, x, Point(easy), few)
+        monkeypatch.setattr(closedform, "_MAX_PANELS", 4)
+        poisson_integral(D, x, Point(easy))
         with pytest.raises(RuntimeError):
-            poisson_integral(D, x, np.array([easy, hard, easy]), few)
+            poisson_integral(D, x, np.array([easy, hard, easy]))
 
 
 def test_green_closed_singularity_guard():
@@ -512,10 +513,22 @@ def test_conjecture1_validation():
         (6, R2_CRIT, (-4.5, -3.0, -1.0, 1.0), 2),
         (6, R2_CRIT, (-3.0, -0.1, -1.0, 1.0), 0),
         (8, 0.36, (-8.5, -7.5, -1.0, 1.0), 1),
+        # mp.polyroots of the exact P_0.36 at n=8: -7.9901 and -6.8800 +- 3.1556i
+        (8, 0.36, (-8.5, -6.0, -4.0, 4.0), 3),
+        (8, 0.36, (-7.5, -6.0, -4.0, 4.0), 2),
+        # n=6 zeros solve (1-z)^2 k^2 + (7-8z+z^2) k + 12 = 0: the double
+        # zero -2-sqrt(3) at the critical radius, -4.5 +- i sqrt(39)/6 at
+        # z = 0.25, where the rectangle's left edge runs through both
+        (6, R2_CRIT, (-4.5, -2 - math.sqrt(3) + 1e-3, -1.0, 1.0), 2),
+        (6, 0.25, (-4.5, -3.0, -2.0, 2.0), None),
     ],
 )
 def test_conjecture2_zero_counts(n, z, rect, count):
-    assert conjecture2_zero_count(Dimension(n), z, rect) == count
+    if count is None:
+        with pytest.raises(RuntimeError, match="perturb"):
+            conjecture2_zero_count(Dimension(n), z, rect)
+    else:
+        assert conjecture2_zero_count(Dimension(n), z, rect) == count
 
 
 def test_conjecture2_zero_on_contour():

@@ -46,8 +46,6 @@ def test_config_validation():
         SdeConfig(dt=1e-3, n_paths=0, seed=1)
     with pytest.raises(ValueError, match="n_paths"):
         SdeConfig(dt=1e-3, n_paths=10, seed=1, max_steps=0)
-    with pytest.raises(ValueError, match="r_floor"):
-        SdeConfig(dt=1e-3, n_paths=10, seed=1, r_floor=1.0)
     with pytest.raises(ValueError, match="scheme"):
         SdeConfig(dt=1e-3, n_paths=10, seed=1, scheme="milstein")
     with pytest.raises(ValueError, match="exit_mode"):
@@ -187,10 +185,11 @@ _STREAM_DIGESTS = {
 }
 
 
-def _pinned_run(kind, n):
+def _pinned_run(kind, n, monkeypatch):
+    monkeypatch.setattr(mc_sim, "_R_FLOOR", 0.01)
     dim = Dimension(n)
     D = BallDomain(dim, 0.6)
-    cfg = SdeConfig(dt=1e-3, n_paths=2**14 + 77, seed=42, r_floor=0.01,
+    cfg = SdeConfig(dt=1e-3, n_paths=2**14 + 77, seed=42,
                     scheme="cartesian" if kind == "cartesian" else "polar",
                     exit_mode="grid" if kind == "grid" else "bridge")
     if kind == "cartesian":
@@ -218,8 +217,8 @@ def _digest(s):
 
 
 @pytest.mark.parametrize("kind, n", list(_STREAM_DIGESTS))
-def test_seeded_streams_are_pinned(kind, n, made):
-    _pinned_run(kind, n)
+def test_seeded_streams_are_pinned(kind, n, made, monkeypatch):
+    _pinned_run(kind, n, monkeypatch)
     (s,) = made
     assert s.censored == 0
     # the polar floor at R = 0.01 is hit, so its clamp branch is pinned too
@@ -285,19 +284,23 @@ def test_heavy_censoring_warns_on_gauge():
         estimate_gauge(DIM4, 1, 0.09, BALL4, cfg)
 
 
-def test_all_censored_gauge_is_nan():
+def test_gauge_below_two_exits_raises():
+    # no exit leaves no mean, one exit no standard error
     cfg = SdeConfig(dt=1e-8, n_paths=64, seed=13, max_steps=1, scheme="polar")
     with pytest.warns(RuntimeWarning, match="censored"):
-        est, se = estimate_gauge(DIM4, 1, 0.09, BALL4, cfg)
-    assert math.isnan(est)
-    assert se == math.inf
+        with pytest.raises(RuntimeError, match="got 0"):
+            estimate_gauge(DIM4, 1, 0.09, BALL4, cfg)
+    one = SdeConfig(dt=1e-3, n_paths=1, seed=11, scheme="polar")
+    with pytest.raises(RuntimeError, match="2 exit samples, got 1"):
+        estimate_gauge(DIM4, 1, 0.09, BALL4, one)
 
 
-def test_floor_clamping_warns_when_dominant():
+def test_floor_clamping_warns_when_dominant(monkeypatch):
     # started just above a high floor, the grid chain clamps on far more
     # than 1% of its steps
+    monkeypatch.setattr(mc_sim, "_R_FLOOR", 0.05)
     cfg = SdeConfig(dt=1e-3, n_paths=500, seed=3, max_steps=4000,
-                    r_floor=0.05, scheme="polar", exit_mode="grid")
+                    scheme="polar", exit_mode="grid")
     with pytest.warns(RuntimeWarning, match="floor"):
         s = simulate_polar(DIM4, 0.055, BALL4, cfg)
     assert s.clamped_steps > 0.01 * s.total_steps
