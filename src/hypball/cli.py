@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -142,12 +143,15 @@ def _axis_point(n, radius):
     return Point(v)
 
 
-def _plane_rows(n, polar):
-    """(m, n) array of the points (radius cos theta, radius sin theta, 0, ...)
-    for the (radius, theta) pairs in polar."""
-    rows = np.zeros((len(polar), n))
-    rows[:, 0] = [radius * math.cos(theta) for radius, theta in polar]
-    rows[:, 1] = [radius * math.sin(theta) for radius, theta in polar]
+@functools.lru_cache(maxsize=32)
+def _unit_circle(n, thetas):
+    """(m, n) array of the points (cos theta, sin theta, 0, ...) for a tuple of
+    m angles, from math.cos and math.sin: a radius times a row takes one IEEE
+    product per coordinate, as radius * math.cos(theta) does."""
+    rows = np.zeros((len(thetas), n))
+    rows[:, 0] = [math.cos(theta) for theta in thetas]
+    rows[:, 1] = [math.sin(theta) for theta in thetas]
+    rows.flags.writeable = False  # shared by every caller
     return rows
 
 
@@ -158,8 +162,8 @@ def _theta_table(cfg, radius, fn, ctl):
     D = BallDomain(dim, cfg.r)
     x = _axis_point(dim.n, cfg.x)
     # open grid; the poles are either trivial (sin weight 0) or singular
-    thetas = [(j + 0.5) * math.pi / cfg.theta_grid for j in range(cfg.theta_grid)]
-    ys = _plane_rows(dim.n, [(radius, theta) for theta in thetas])
+    thetas = ((np.arange(cfg.theta_grid) + 0.5) * math.pi / cfg.theta_grid).tolist()
+    ys = radius * _unit_circle(dim.n, tuple(thetas))
     return ("theta", "value"), list(zip(thetas, fn(D, x, ys, ctl).tolist()))
 
 
@@ -261,12 +265,13 @@ def _half_turn_rule():
 
 def _suite_normalization(cfg):
     theta, wts = _half_turn_rule()
+    angles = tuple(theta.tolist())
     ctl = cfg.series()
     rows = []
     for dim in _covered(cfg, "normalization"):
         for r in (0.3, 0.6, 0.9):
             D = BallDomain(dim, r)
-            ys = _plane_rows(dim.n, [(r, t) for t in theta])
+            ys = r * _unit_circle(dim.n, angles)
             for frac in (0.0, 1.0 / 3.0, 2.0 / 3.0):
                 x = _axis_point(dim.n, frac * r)
                 vals = poisson_kernel(D, x, ys, ctl)
@@ -312,13 +317,13 @@ def _suite_green(cfg):
         x = _axis_point(dim.n, 0.4 * cfg.r)
         # scale of G over the middle of the domain, sampled off-diagonal,
         # against G next to the boundary
-        polar = ((0.45 * cfg.r, 0.3), (0.5 * cfg.r, 0.5), (0.5 * cfg.r, 1.0),
-                 (cfg.r - 1e-4, 2.0))
-        *middle, edge = green_function(D, x, _plane_rows(dim.n, polar), ctl).tolist()
+        radii = np.array([[0.45 * cfg.r], [0.5 * cfg.r], [0.5 * cfg.r], [cfg.r - 1e-4]])
+        ys = radii * _unit_circle(dim.n, (0.3, 0.5, 1.0, 2.0))
+        *middle, edge = green_function(D, x, ys, ctl).tolist()
         ratio = abs(edge / max(middle))
         rows.append((dim.n, "boundary_vanishing", ratio, 1e-5, ratio < 1e-5))
-        polar = ((0.35 * cfg.r, 0.7), (0.55 * cfg.r, 2.1), (cfg.r, 1.1))
-        a, b, u = (Point(row) for row in _plane_rows(dim.n, polar))
+        radii = np.array([[0.35 * cfg.r], [0.55 * cfg.r], [cfg.r]])
+        a, b, u = map(Point, radii * _unit_circle(dim.n, (0.7, 2.1, 1.1)))
         g_ab = green_function(D, a, b, ctl)
         rel = abs(g_ab - green_function(D, b, a, ctl)) / abs(g_ab)
         rows.append((dim.n, "swap_symmetry", rel, 1e-9, rel <= 1e-9))
@@ -408,29 +413,33 @@ def _write_csv(path, cfg, columns, rows, meta):
     lines = [f"# hypball {__version__}", f"# {_config_echo(cfg)}"]
     lines += [f"# {key}={_fmt(meta[key])}" for key in sorted(meta)]
     lines += [",".join(columns)]
-    # one %-template for every row: %.17g for a float, which is
-    # format(v, ".17g"), and the _fmt text of any other cell
-    template = "".join(
-        ",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) + "\n"
-        for row in rows)
-    cells = tuple(v if isinstance(v, float) else _fmt(v) for row in rows for v in row)
+    # one %-template for every row, the rows all of one length: %.17g in a column
+    # of floats, which is format(v, ".17g"), and the _fmt text of other cells
+    specs, cells = [], []
+    for col in zip(*rows, strict=True):
+        floats = all(issubclass(t, float) for t in set(map(type, col)))
+        specs.append("%.17g" if floats else "%s")
+        cells.append(col if floats else map(_fmt, col))
+    template = (",".join(specs) + "\n") * len(rows)
     with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n" + template % cells)
+        f.write("\n".join(lines) + "\n" + template % tuple(chain.from_iterable(zip(*cells))))
 
 
-def _json_rows(docs):
-    """The "rows" value of json.dumps(doc, indent=2) for docs, a list of dicts
-    with the same str keys. One C-encoder call writes the keys and values as
-    a list joined by "\n", which no JSON token holds (strings escape it), and
+def _json_rows(columns, rows):
+    """The "rows" value of json.dumps(doc, indent=2) for the dicts dict(zip(columns,
+    row)) of rows all of one length. One C-encoder call writes the keys and values
+    as a list joined by "\n", which no JSON token holds (strings escape it), and
     one %-template of the indent=2 layout takes the value tokens."""
-    if not docs:
+    if not rows:
         return "[]"
-    text = json.dumps([*docs[0], *(v for d in docs for v in d.values())],
-                      separators=("\n", ": "))[1:-1]
+    last = {c: j for j, c in enumerate(columns)}  # a repeated key: first place, last cell
+    cols = list(zip(*rows, strict=True))
+    values = chain.from_iterable(zip(*[cols[j] for j in last.values()]))
+    text = json.dumps([*last, *values], separators=("\n", ": "))[1:-1]
     tokens = text.split("\n") if text else []
-    keys = [k.replace("%", "%%") for k in tokens[: len(docs[0])]]
+    keys = [k.replace("%", "%%") for k in tokens[: len(last)]]
     layout = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }" if keys else "    {}"
-    return "[\n" + ",\n".join([layout] * len(docs)) % tuple(tokens[len(keys) :]) + "\n  ]"
+    return "[\n" + ",\n".join([layout] * len(rows)) % tuple(tokens[len(keys) :]) + "\n  ]"
 
 
 def _write_json(path, cfg, columns, rows, meta):
@@ -443,7 +452,7 @@ def _write_json(path, cfg, columns, rows, meta):
     # json.dumps(indent=2) of {"meta": meta, "rows": rows} with the rows
     # from the C encoder: the pure-Python indent encoder is slow per cell
     head = json.dumps({"meta": meta}, indent=2)[: -len("\n}")]
-    rows = _json_rows([dict(zip(columns, row)) for row in rows])
+    rows = _json_rows(columns, rows)
     with open(path, "w", newline="\n") as f:
         f.write(f'{head},\n  "rows": {rows}\n}}\n')
 

@@ -230,6 +230,7 @@ def _mod_quadratic(poly, b, e):
     return u1, u0
 
 
+@functools.lru_cache(maxsize=64)
 def laplace_weight(dim, x2, r2):
     """w_{|x|^2, r^2}(v) = sum_j R_j exp(p_j v) for even n, p_j the roots of
     P_{r2} and R_j = (p_j+rho)/rho P_{x2}(p_j)/P_{r2}'(p_j) (1-r^2)^(n-2)/(r^2-x^2)
@@ -239,7 +240,8 @@ def laplace_weight(dim, x2, r2):
     pair, larger n a WeightSum. A pair -b +- c takes c2 = -P_{r2}(-b)/(a_rho
     prod_others (-b - p)) with P_{r2}(-b) exact (its roundoff reaches w through
     v^2 c2 near a double root) and its amplitudes from the residue numerator
-    modulo (k+b)^2 - c2, so nothing is divided by c.
+    modulo (k+b)^2 - c2, so nothing is divided by c. Cached and shared per
+    (n, |x|^2, r^2): the groups are frozen; a failed build is not cached.
     """
     if not 0 <= x2 < r2 < 1:
         raise ValueError("needs 0 <= x2 < r2 < 1")
@@ -312,8 +314,9 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
         e = np.exp(-v)[:, None]
         g = (r2 - x2 * e) * -np.expm1(-v)[:, None]
         a = x2 * e * e - 2 * e * xy + r2
-        s = 1.0  # the sum in L, by Horner's rule in e d^2
-        for m in range(1, rho):
+        # the sum in L by Horner's rule in e d^2, from its leading term
+        s = e * d2 + 2 * a if rho > 1 else 1.0
+        for m in range(2, rho):
             s = s * (e * d2) + (m + 1) * a**m
         return w_net(v)[:, None] * (g * g * s) / a**rho
 

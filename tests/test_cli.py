@@ -9,11 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hypball
-from hypball.cli import (RunConfig, _build_parser, _config_echo, _fmt, _write_csv,
-                         _write_json, main, parse_config, run)
+from hypball import cli
+from hypball.cli import (RunConfig, _build_parser, _config_echo, _fmt, _theta_table,
+                         _write_csv, _write_json, main, parse_config, run)
 from hypball.geometry import BallDomain, unit_sphere_area
 from hypball.kernels import poisson_coefficient
 from hypball.specfun import Dimension
@@ -220,6 +221,10 @@ _ROW_DIGESTS = {
         "97e3789b4b0abcc8",
     ("pk-closed", "--n", "6", "--theta-grid", "256", "--format", "json"):
         "50633485e63300b5",
+    ("pk-closed", "--n", "8", "--theta-grid", "256", "--format", "json"):
+        "34be85c233d176f5",
+    ("green-closed", "--n", "4", "--theta-grid", "256"): "6b2919d53c8ec247",
+    ("green-closed", "--n", "6", "--theta-grid", "256"): "b5169083603aa948",
     ("coeffs", "--kmax", "40"): "1c8d464955c35330",
     ("identity-check", "--suite", "normalization", "--n", "5"): "c0e38535bb4833a2",
 }
@@ -236,6 +241,43 @@ def test_table_rows_are_pinned(tmp_path, argv):
         lines = lines[lines.index(b'  "rows": [\n'):]
     data = b"".join(line for line in lines if not line.startswith(b"#"))
     assert hashlib.sha256(data).hexdigest()[:16] == _ROW_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("grid", [1, 7, 256])
+def test_theta_table_rows_are_one_product(grid):
+    # the cached unit circle times the radius is the one IEEE product
+    # radius * math.cos(theta) per coordinate, bit for bit
+    for radius in (0.6, 0.3, 1 / 3, 0.59999999999999, 0.1 + 0.2):
+        cfg = RunConfig(command="pk-closed", n="6", theta_grid=grid)
+        seen = []
+        _, rows = _theta_table(cfg, radius, lambda D, x, ys, ctl: seen.append(ys) or ys[:, 0],
+                               None)
+        thetas = [theta for theta, _ in rows]
+        assert thetas == [(j + 0.5) * math.pi / grid for j in range(grid)]
+        expected = np.zeros((grid, 6))
+        expected[:, 0] = [radius * math.cos(t) for t in thetas]
+        expected[:, 1] = [radius * math.sin(t) for t in thetas]
+        assert seen[0].tobytes() == expected.tobytes()
+        assert [v for _, v in rows] == expected[:, 0].tolist()
+
+
+def test_normalization_circle_is_one_product(monkeypatch):
+    # the Gauss-node circles of the normalization suite, pinned the same way
+    seen = []
+
+    def record(D, x, ys, ctl):
+        seen.append((D.r, ys))
+        return np.ones(len(ys))
+
+    monkeypatch.setattr(cli, "poisson_kernel", record)
+    cli._suite_normalization(RunConfig(command="identity-check", n="4..5"))
+    theta = cli._half_turn_rule()[0].tolist()
+    assert len(seen) == 18
+    for r, ys in seen:
+        expected = np.zeros(ys.shape)
+        expected[:, 0] = [r * math.cos(t) for t in theta]
+        expected[:, 1] = [r * math.sin(t) for t in theta]
+        assert ys.tobytes() == expected.tobytes()
 
 
 def test_parser_is_shared_and_keeps_no_flag():
@@ -361,6 +403,19 @@ _CELLS = st.one_of(
     meta=st.dictionaries(_TEXT, _CELLS, max_size=3),
 )
 @settings(max_examples=300, deadline=None)
+# tables a writer that formats whole columns must get right: a repeated
+# column name (the dict keeps its first place and its last cell), a column
+# that mixes floats with other cells, a bool column, NumPy floats, and a
+# CLI-sized table of floats
+@example(table=(["a", "a"], [(1, 2.5), (0.5, "x")]), meta={})
+@example(table=(["a", "b", "a", "c"], [(1, 2.0, True, None)] * 3), meta={"a": 1.0})
+@example(table=(["k", "pass"], [(0, True), (1, False)]), meta={"pass": True})
+@example(table=(["theta", "value"], [(np.float64(0.1), 1.5), (0.25, np.float64(-0.0)),
+                                     (np.float64(math.nan), np.float64(1e-310))]),
+         meta={})
+@example(table=(["theta", "value"],
+                [((j + 0.5) * math.pi / 256, math.sin(j) / 3) for j in range(256)]),
+         meta={})
 def test_writers_match_per_cell_formatting(tmp_path_factory, table, meta):
     columns, rows = table
     cfg = RunConfig(command="coeffs", output="table.csv")

@@ -213,6 +213,31 @@ def test_weight_validation():
         laplace_weight(Dimension(4), 0.4, 0.36)
 
 
+def test_weight_is_cached_and_shared_unchanged():
+    # one weight per (n, |x|^2, r^2): the Green and Poisson evaluators take
+    # copies with other amplitudes or rates and leave the shared groups as
+    # they were; a failed build raises again rather than being cached
+    D6, D8 = ball(6), ball(8)
+    x8 = Point([0.2] + [0.0] * 7)
+    w6 = laplace_weight(D6.dim, 0.0, D6.r**2)
+    w8 = laplace_weight(D8.dim, x8.norm**2, D8.r**2)
+    assert laplace_weight(Dimension(6), 0.0, D6.r**2) is w6
+    before = [(g.b, g.c2, g.amp1, g.amp2) for g in (w6, *w8)]
+    x = Point([0.2] + [0.0] * 5)
+    ys = np.array([[0.0, 0.3, 0, 0, 0, 0], [-0.1, 0.1, 0, 0, 0, 0]])
+    green_closed_n6(D6, x, ys)
+    green_closed_n6(D6, x, Point(ys[0]))
+    poisson_integral(D8, x8, on_sphere(0.6, 1.0, 8))
+    assert laplace_weight(D6.dim, 0.0, D6.r**2) is w6
+    assert laplace_weight(D8.dim, x8.norm**2, D8.r**2) is w8
+    assert [(g.b, g.c2, g.amp1, g.amp2) for g in (w6, *w8)] == before
+    for args in ((Dimension(5), 0.0, 0.36), (Dimension(6), 0.36, 0.36),
+                 (Dimension(6), 0.4, 0.36)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                laplace_weight(*args)
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_poisson_integral_matches_series(n):
     D = ball(n)
