@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Point, _cosines, as_rows, row_norms, sphere_area
-from .specfun import F_k, G_k, _as_order, _block_end, _g0_values, gegenbauer_sequence
+from .specfun import F_k, G_k, _as_order, _block_end, _g0_values, gegenbauer_series
+from .specfun import gegenbauer_sequence  # noqa: F401 (hypbench/layers.py traces it here)
 
 
 class SeriesTruncationError(RuntimeError):
@@ -175,37 +176,28 @@ def _poisson_table(D, ax, ctl):
     )
 
 
-def _gegenbauer_sums(rho, a, c):
-    """sum_k a_k C_k^(rho)(c) for a cosine c (a float back), or for each of
-    an array of cosines (an array back): one recurrence, then one np.vecdot
-    that takes the dot of a single cosine per contiguous row, bit for bit."""
-    ck = gegenbauer_sequence(rho, len(a) - 1, c)
-    if isinstance(c, float):
-        return float(a @ ck)
-    return np.vecdot(np.ascontiguousarray(ck.T), a)
-
-
 def poisson_kernel(D, x, y, ctl=SeriesControl()):
     """Poisson kernel P_r(x,y): density of the exit law from the ball of
     radius r started at x, with respect to Euclidean surface measure on
     the sphere |y| = r.
 
     Summed as 1/(omega_{n-1} r^{n-1}) * sum_k (k+rho)/rho *
-    poisson_coefficient(k) * C_k^{(rho)}(cos theta). y is a Point (returns
-    a float) or an (m, n) array of points on the sphere (returns shape
-    (m,)); all of them share the one table of |x|.
+    poisson_coefficient(k) * C_k^{(rho)}(cos theta) by gegenbauer_series.
+    y is a Point (a float back) or an (m, n) array of points with |y| = r
+    to 1e-12 (shape (m,) back, each row with its Point call's bits); all of
+    them share the one table of |x|.
     """
     ys, single = as_rows(D.dim.n, x, y)
     r, ax, nys = D.r, x.norm, row_norms(ys)
     if not ax < r:
         raise ValueError("x must lie inside the ball")
-    if not all(abs(ny - r) <= 1e-12 for ny in nys.tolist()):
+    if not np.all(np.abs(nys - r) <= 1e-12):
         raise ValueError("y must lie on the sphere |y| = r")
     area = sphere_area(D.dim, r)
     if ax == 0.0:
         return 1.0 / area if single else np.full(len(ys), 1.0 / area)
     a = _poisson_table(D, ax, ctl)
-    return _gegenbauer_sums(D.dim.rho, a, _cosines(x.coords, ax, ys, nys, single)) / area
+    return gegenbauer_series(D.dim.rho, a, _cosines(x.coords, ax, ys, nys, single)) / area
 
 
 def _image_coefficient(D, k, ax, ay):
@@ -271,8 +263,9 @@ def green_function(D, x, y, ctl=SeriesControl()):
     tail bound not met within k_max terms raises SeriesTruncationError.
     x = 0 (or y = 0) reduces to the k = 0 coefficient by rotational symmetry.
     y is a Point (returns a float) or an (m, n) array of points (returns
-    shape (m,)), with one image table per distinct |y| and one _g0_values
-    call that evaluates G_0 for all the rows, each with a Point call's bits.
+    shape (m,)), with one image table per distinct |y| summed by
+    gegenbauer_series and one _g0_values call for G_0 of all the rows, each
+    with a Point call's bits.
     """
     ys, single = as_rows(D.dim.n, x, y)
     diffs = x.coords - ys
@@ -297,7 +290,7 @@ def green_function(D, x, y, ctl=SeriesControl()):
             continue
         b = _image_table(D, lo, hi, ctl)
         at = slice(None) if single else idx
-        image = _gegenbauer_sums(rho, b, _cosines(x.coords, ax, ys[at], nys[at], single))
+        image = gegenbauer_series(rho, b, _cosines(x.coords, ax, ys[at], nys[at], single))
         # 1 - 2 x.y + |x|^2 |y|^2 = (1 - |x|^2)(1 - |y|^2) + |x - y|^2
         q = (1 - ax**2) * (1 - ay**2)
         zs += [d2s[i] / (q + d2s[i]) for i in idx]

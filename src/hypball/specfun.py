@@ -260,36 +260,60 @@ def G_k(dim, k, z):
 
 
 def gegenbauer_sequence(v, kmax, x):
-    """All of C_0^(v)(x) .. C_kmax^(v)(x), v > 0, in one sweep of k C_k =
-    2x (k+v-1) C_(k-1) - (k+2v-2) C_(k-2), 2x taken once and the step factors
-    k+v-1, k+2v-2 Python floats from one np.arange. x may be a scalar (Python
-    floats into a list) or an array (the same float operations in place on
-    the rows, so each cosine gets the bits of its scalar call); the result
-    has shape (kmax+1,) + x.shape."""
+    """All of C_0^(v)(x) .. C_kmax^(v)(x), v > 0, shape (kmax+1,) + np.shape(x):
+    one sweep of k C_k = 2x (k+v-1) C_(k-1) - (k+2v-2) C_(k-2) in place on
+    the rows, 2x taken once and the step factors k+v-1, k+2v-2 Python floats
+    from one np.arange, so each cosine of an array gets the bits of its own
+    call. A sum over the C_k needs none of them: see gegenbauer_series."""
     if v <= 0:
         raise ValueError("needs v > 0")
     ks = np.arange(2, kmax + 1)
     steps = zip(range(2, kmax + 1), (ks + v - 1).tolist(), (ks + 2 * v - 2).tolist())
-    if type(x) is float or np.ndim(x) == 0:
-        x = float(x)
-        x2, c_prev, c = 2 * x, 1.0, 2 * v * x
-        values = [c_prev, c][: kmax + 1]
-        for k, a, b in steps:
-            c_prev, c = c, (x2 * a * c - b * c_prev) / k
-            values.append(c)
-        return np.array(values)
     x = np.asarray(x, dtype=float)
     out = np.empty((kmax + 1,) + x.shape)
-    out[0], out[1:2] = 1.0, 2 * v * x
-    x2, t = 2 * x, np.empty(x.shape)
+    rows, x2, t = out.reshape(kmax + 1, x.size), 2 * x.reshape(x.size), np.empty(x.size)
+    rows[0], rows[1:2] = 1.0, v * x2
     for k, a, b in steps:
-        c = out[k]
         np.multiply(x2, a, out=t)
-        np.multiply(t, out[k - 1], out=t)
-        np.multiply(out[k - 2], b, out=c)
-        np.subtract(t, c, out=c)
-        np.divide(c, k, out=c)
+        np.multiply(t, rows[k - 1], out=t)
+        np.multiply(rows[k - 2], b, out=rows[k])
+        np.subtract(t, rows[k], out=rows[k])
+        np.divide(rows[k], k, out=rows[k])
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _clenshaw_steps(v, end):
+    """2(k+v)/(k+1) and (k+2v)/(k+2) for k = 0..end, as lists of Python floats."""
+    ks = np.arange(end + 1)
+    return (2 * (ks + v) / (ks + 1)).tolist(), ((ks + 2 * v) / (ks + 2)).tolist()
+
+
+def gegenbauer_series(v, a, x):
+    """sum_k a_k C_k^(v)(x) over the orders of the array a, v > 0, by Clenshaw's
+    recurrence b_k = a_k + x (2(k+v)/(k+1)) b_(k+1) - ((k+2v)/(k+2)) b_(k+2)
+    run down to b_0, the sum, with no C_k(x); its factors are cached per block
+    of orders (_block_end), as each table has its own length. x is a float (a
+    float back) or an array (an array back, each entry with its float's bits)."""
+    if v <= 0:
+        raise ValueError("needs v > 0")
+    K = len(a)
+    p, q = _clenshaw_steps(v, _block_end(max(K - 1, 0)))
+    steps = zip(reversed(a.tolist()), reversed(p[:K]), reversed(q[:K]))
+    if type(x) is float or np.ndim(x) == 0:
+        x, b1, b2 = float(x), 0.0, 0.0
+        for ak, pk, qk in steps:
+            b1, b2 = ak + x * pk * b1 - qk * b2, b1
+        return b1
+    x = np.asarray(x, dtype=float)
+    b1, b2, t = np.zeros(x.shape), np.zeros(x.shape), np.empty(x.shape)
+    for ak, pk, qk in steps:
+        np.multiply(x, pk, out=t)
+        t *= b1
+        t += ak
+        b2 *= qk
+        b1, b2 = np.subtract(t, b2, out=b2), b1
+    return b1
 
 
 def gegenbauer_at_one(v, k):

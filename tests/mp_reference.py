@@ -1,8 +1,9 @@
 """High-precision mpmath references built from the definitions: the radial
 solutions F_k and G_k, the Green function of the ball as the
-whole-space Green function minus its Kelvin-image series, and the inverse
-Laplace weight w(v) of the n = 4 and 6 closed forms. Helpers for the
-test modules; pytest collects no tests here."""
+whole-space Green function minus its Kelvin-image series, the inverse
+Laplace weight w(v) of the n = 4 and 6 closed forms, and Gegenbauer sums
+over float coefficients. Helpers for the test modules; pytest collects no
+tests here."""
 
 import functools
 
@@ -89,6 +90,20 @@ def green(n, r, x, y, dps=30):
             k += 1
         cn = mp.gamma(half - 1) / (4 * mp.pi**half)
         return float(cn * (g_value(n, 0, z) / z**rho - mp.fsum(image)))
+
+
+def gegenbauer_sum(rho, a, x, dps=40):
+    """(sum_k a_k C_k^(rho)(x), sum_k |a_k C_k^(rho)(x)|) as mpf at dps digits,
+    the float coefficients a and the float cosine x taken exactly."""
+    with mp.workdps(dps):
+        rho, x = mp.mpf(rho), mp.mpf(x)
+        c_prev, c, total, size = mp.mpf(0), mp.mpf(1), mp.mpf(0), mp.mpf(0)
+        for k, ak in enumerate(a):
+            if k:
+                c_prev, c = c, (2 * x * (k + rho - 1) * c - (k + 2 * rho - 2) * c_prev) / k
+            total += ak * c
+            size += abs(ak * c)
+        return +total, +size
 
 
 def laplace_weight(n, x2, r2, v, dps=50):

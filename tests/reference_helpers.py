@@ -20,12 +20,14 @@ def gegenbauer(v, k, x):
     C_0^(0) = 1 and C_k^(0)(x) = 2 T_k(x)/k for k >= 1, with T_k by its
     own recurrence.
     """
-    k = _as_order(k)
+    k, x = _as_order(k), float(x)
     if v != 0:
-        return float(gegenbauer_sequence(v, k, x)[-1])
+        c_prev, c = 0.0, 1.0
+        for j in range(1, k + 1):
+            c_prev, c = c, (2 * x * (j + v - 1) * c - (j + 2 * v - 2) * c_prev) / j
+        return c
     if k == 0:
         return 1.0
-    x = float(x)
     t_prev, t = 1.0, x
     for _ in range(k - 1):
         t_prev, t = t, 2 * x * t - t_prev

@@ -204,21 +204,22 @@ def test_reruns_are_byte_identical(tmp_path):
 
 # SHA-256 prefixes of the rows after the header (so the `output=` echo does
 # not count; a JSON file from its "rows" line on) of tables that the warm
-# array path of the kernels writes. A change to a dot product's summation
-# order, or to any rounding step between the tables and the text, moves them.
+# array path of the kernels writes. A change to the float operations of a
+# series sum, or to any rounding step between the tables and the text, moves
+# them.
 # Like the seeded Monte Carlo digests they hold for one platform and NumPy
 # build.
 _ROW_DIGESTS = {
-    ("pk-eval", "--n", "4", "--theta-grid", "256"): "a3d6b256639d071f",
-    ("pk-eval", "--n", "5", "--theta-grid", "256"): "1cf68efc0caec1af",
-    ("pk-eval", "--n", "6", "--theta-grid", "256"): "4e42abc300d082c0",
-    ("green-eval", "--n", "4", "--theta-grid", "256"): "78eb66c166c0538c",
+    ("pk-eval", "--n", "4", "--theta-grid", "256"): "458f61794021755a",
+    ("pk-eval", "--n", "5", "--theta-grid", "256"): "ce9311fd2d793c08",
+    ("pk-eval", "--n", "6", "--theta-grid", "256"): "f3d42af9e66097b1",
+    ("green-eval", "--n", "4", "--theta-grid", "256"): "ad6ccb6ae8ee800d",
     # odd n: G_0's a z^rho term without the log
-    ("green-eval", "--n", "5", "--theta-grid", "256"): "c8624e1a65315a80",
-    ("green-eval", "--n", "6", "--theta-grid", "256"): "ab5cdf992807922e",
+    ("green-eval", "--n", "5", "--theta-grid", "256"): "29f8a0870e753f34",
+    ("green-eval", "--n", "6", "--theta-grid", "256"): "107c27eb5f0ea5ee",
     # every z below G_0's split between its two forms
     ("green-eval", "--n", "6", "--r", "0.2", "--x", "0.1", "--theta-grid", "256"):
-        "97e3789b4b0abcc8",
+        "9ee2511fd2e5314a",
     ("pk-closed", "--n", "6", "--theta-grid", "256", "--format", "json"):
         "50633485e63300b5",
     ("pk-closed", "--n", "8", "--theta-grid", "256", "--format", "json"):
@@ -226,7 +227,7 @@ _ROW_DIGESTS = {
     ("green-closed", "--n", "4", "--theta-grid", "256"): "6b2919d53c8ec247",
     ("green-closed", "--n", "6", "--theta-grid", "256"): "b5169083603aa948",
     ("coeffs", "--kmax", "40"): "1c8d464955c35330",
-    ("identity-check", "--suite", "normalization", "--n", "5"): "c0e38535bb4833a2",
+    ("identity-check", "--suite", "normalization", "--n", "5"): "66498bb057aef058",
 }
 
 

@@ -124,10 +124,11 @@ def same_bits(a, b):
 
 
 def test_vecdot_matches_row_dots():
-    # row_norms, _cosines and the kernels' Gegenbauer sums take one
-    # np.vecdot over an array where a Point takes ndarray.dot; the two must
-    # agree bit for bit on coordinate rows of every n the CLI takes, and on
-    # sums of every length up to past the table block edges 63, 191 and 447
+    # row_norms and _cosines take one np.vecdot over an array where a Point
+    # takes ndarray.dot; the two must agree bit for bit on coordinate rows of
+    # every n the CLI takes. The sums of every length up to past the table
+    # block edges 63, 191 and 447 check the same of long dot products, which
+    # the kernels' Gegenbauer sums do not take (see gegenbauer_series)
     rng = np.random.default_rng(7)
     for n in range(3, 9):
         ys = rng.uniform(-0.5, 0.5, (257, n))

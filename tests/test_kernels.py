@@ -22,7 +22,7 @@ from hypball.kernels import (
     poisson_from_green_derivative,
     poisson_kernel,
 )
-from hypball.specfun import Dimension, gegenbauer_sequence
+from hypball.specfun import Dimension, gegenbauer_sequence, gegenbauer_series
 
 
 def ball(n, r=0.6):
@@ -182,6 +182,11 @@ def test_poisson_kernel_validation():
         poisson_kernel(D, Point([0.61, 0, 0, 0]), y)
     with pytest.raises(ValueError):
         poisson_kernel(D, Point([0.3, 0, 0, 0]), Point([0.5, 0, 0, 0]))
+    # |y| = r is checked to 1e-12, and a NaN row fails the check
+    with pytest.raises(ValueError):
+        poisson_kernel(D, Point([0.3, 0, 0, 0]), Point([0.6 + 1e-9, 0, 0, 0]))
+    with pytest.raises(ValueError):
+        poisson_kernel(D, Point([0.3, 0, 0, 0]), np.array([y.coords, np.full(4, np.nan)]))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -387,6 +392,27 @@ def test_tables_stop_where_the_majorant_tail_meets_tol(n):
                 assert tail <= ctl.tol
 
 
+@pytest.mark.parametrize("n, r, q", [
+    *[(n, 0.6, q) for n in (3, 5, 6, 7) for q in (0.95, 0.96, 0.97)], (8, 0.3, 16 / 17),
+])
+def test_long_table_sums_match_mpmath(n, r, q):
+    # Clenshaw's sum of a long Poisson table against a 40-digit sum of the
+    # same float terms: within 256 eps S, S = sum_k |a_k C_k(x)|, everywhere,
+    # and within 0.06 eps S at x = -0.999, where the terms cancel to a value
+    # 5e4-5e11 times below S (a dot product with the C_k(x) sequence is off
+    # by 0.08-0.43 eps S there)
+    D = ball(n, r)
+    a = _poisson_table(D, q * r, SeriesControl())
+    assert len(a) > 600
+    eps = np.finfo(float).eps
+    for x in (-0.999, -0.99, math.cos(7 * math.pi / 9), 0.0, 0.5, 0.999):
+        ref, size = mp_reference.gegenbauer_sum(D.dim.rho, a.tolist(), x)
+        err = float(abs(ref - gegenbauer_series(D.dim.rho, a, x)))
+        assert err <= 256 * eps * float(size), x
+        if x == -0.999:
+            assert err <= 0.06 * eps * float(size)
+
+
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.95])
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_array_rows_match_single_points(n, r):
@@ -423,12 +449,12 @@ def test_array_rows_match_single_points(n, r):
 # SHA-256 prefixes of the one-Point values of each n: 3 radii r, 3 ratios
 # |x|/r, 3 angles, and |y| in {|x|/2, |x|}; see test_point_values_are_pinned
 _POINT_DIGESTS = {
-    3: "58b169ab839dd594",
-    4: "38697beaf80d2625",
-    5: "fea45d36f3efea9f",
-    6: "20944345467d60b8",
-    7: "89da05f1a1756a91",
-    8: "fbdd2ae4430fed0e",
+    3: "5ea21b712cdc52a6",
+    4: "b9c0faf544c80970",
+    5: "6ccad9ae60bb3636",
+    6: "c6c01c6373e2deab",
+    7: "6b70ae3704e32f3b",
+    8: "8e2a20522af2a383",
 }
 
 

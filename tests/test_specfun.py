@@ -23,6 +23,7 @@ from hypball.specfun import (
     _g0_values,
     gegenbauer_at_one,
     gegenbauer_sequence,
+    gegenbauer_series,
     wronskian_residual,
 )
 
@@ -347,6 +348,40 @@ def test_gegenbauer_sequence_keeps_the_recurrence_bits(v, kmax, x):
     # each cosine of an array gets the bits of the scalar call
     for i, xi in enumerate(np.atleast_1d(x).tolist()):
         assert gegenbauer_sequence(v, kmax, xi).tobytes() == got.reshape(kmax + 1, -1)[:, i].tobytes()
+
+
+@given(
+    st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),  # rho of n = 3..8
+    # lengths across the block ends 63, 191 and 447 of the cached step factors
+    st.integers(0, 1000),
+    st.integers(0, 2**32 - 1),
+    st.lists(_cosines, min_size=1, max_size=6),
+)
+@example(3.0, 448, 0, [1.0, -1.0, 0.0, -0.0, 5e-324, -1e-310])
+@example(0.5, 64, 1, [-0.999, 0.5])
+@example(2.0, 192, 2, [0.3])
+@settings(max_examples=40, deadline=None)
+def test_gegenbauer_series_rows_keep_the_float_bits(v, size, seed, xs):
+    # the terms of a convergent table: decaying, of either sign
+    a = np.random.default_rng(seed).standard_normal(size) * 0.99 ** np.arange(size)
+    got = gegenbauer_series(v, a, np.array(xs))
+    assert got.shape == (len(xs),)
+    for value, x in zip(got.tolist(), xs):
+        single = gegenbauer_series(v, a, x)
+        assert type(single) is float
+        assert np.float64(single).tobytes() == np.float64(value).tobytes()
+        assert gegenbauer_series(v, a, np.float64(x)) == single
+
+
+@pytest.mark.parametrize("v", [0.5, 1.5, 3.0])
+def test_gegenbauer_series_matches_the_sequence(v):
+    a = np.random.default_rng(5).standard_normal(500) * 0.98 ** np.arange(500)
+    x = np.cos(np.linspace(0.0, math.pi, 9))
+    want = gegenbauer_sequence(v, a.size - 1, x).T @ a
+    assert np.allclose(gegenbauer_series(v, a, x), want, rtol=1e-12, atol=1e-12)
+    assert gegenbauer_series(v, a[:0], 0.3) == 0.0
+    with pytest.raises(ValueError):
+        gegenbauer_series(0.0, a, 0.3)
 
 
 def checked_order(k):
