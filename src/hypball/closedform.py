@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import as_rows
+from .geometry import ball_rows, sphere_rows
 from .specfun import F_k
 
 # |c^2| below which LaplaceWeight.regime reads "critical"; a label only,
@@ -290,16 +290,10 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
     dim = D.dim
     n = dim.n
     rho = int(dim.rho)
-    r = D.r
-    ax = x.norm
-    if not ax < r:
-        raise ValueError("x must lie inside the ball")
-    ys, single = as_rows(n, x, y)
-    if not np.all(np.abs(np.linalg.norm(ys, axis=1) - r) <= 1e-12):
-        raise ValueError("y must lie on the sphere |y| = r")
+    single, ax, _, xy = sphere_rows(D, x, y)
     x2 = ax**2
-    r2 = r**2
-    xy = ys @ x.coords
+    r2 = D.r**2
+    # the v = 0 value of the quadratic a below, as the integrand expands it
     d2 = x2 + r2 - 2 * xy
     w = laplace_weight(dim, x2, r2)
     if not w.decay_rate > rho + 1:
@@ -322,7 +316,7 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
 
     pref = (
         math.gamma(n / 2)
-        / (2 * math.pi ** (n / 2) * r * (1 - r2) ** (n - 2))
+        / (2 * math.pi ** (n / 2) * D.r * (1 - r2) ** (n - 2))
         * (r2 - x2)
         / d2 ** (n / 2)
     )
@@ -332,19 +326,12 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
 
 def _green_args(D, n, x, y):
     """Shared inputs of the closed Green formulas: (single, X, Y, x.y, d^2,
-    r^2, K0), with Y, x.y, d^2 and K0 one entry per point y."""
+    r^2, K0), with Y, x.y, d^2 and K0 one entry per point y; d^2 = |x-y|^2
+    from ball_rows, so 1/d^2 and the log stay accurate as y -> x."""
     if D.dim.n != n:
         raise ValueError(f"needs n = {n}")
-    ys, single = as_rows(n, x, y)
-    r2 = D.r**2
-    x2 = x.norm**2
-    y2 = np.linalg.norm(ys, axis=1) ** 2
-    if not (x2 < r2 and np.all(y2 < r2)):
-        raise ValueError("both points must lie inside the ball")
-    xy = ys @ x.coords
-    d2 = x2 + y2 - 2 * xy
-    if np.any(d2 == 0.0):
-        raise ValueError("green function is singular at x = y")
+    single, ax, nys, xy, d2 = ball_rows(D, x, y)
+    r2, x2, y2 = D.r**2, ax**2, nys**2
     k0 = x2 * y2 - 2 * r2 * xy + r2 * r2
     return single, x2, y2, xy, d2, r2, k0
 

@@ -1,5 +1,5 @@
-"""Ball-model geometry: interior points, ball domains, sphere areas and the
-angle cosine used as Gegenbauer argument."""
+"""Ball-model geometry: interior points, ball domains, sphere areas, and the
+checks and row quantities (norms, dots, |x-y|^2, cosines) of kernel points."""
 
 import math
 from dataclasses import dataclass
@@ -19,9 +19,9 @@ class Point:
         c = np.atleast_1d(np.asarray(self.coords, dtype=float))
         if c.ndim != 1:
             raise ValueError("coords must be a flat vector")
-        if not np.linalg.norm(c) < 1:
-            raise ValueError("point must lie strictly inside the unit ball")
         object.__setattr__(self, "coords", c)
+        if not self.norm < 1:
+            raise ValueError("point must lie strictly inside the unit ball")
 
     @property
     def norm(self):
@@ -54,17 +54,41 @@ def sphere_area(dim, R):
     return unit_sphere_area(dim.n - 1) * R ** (dim.n - 1)
 
 
-def as_rows(n, x, y):
-    """y as a C-contiguous (m, n) coordinate array, and whether it was a
-    single Point; raises ValueError unless the Point x and every row of y
-    have n coordinates."""
+def _rows(D, x, y):
+    """(ys, single, |x|, row norms, row dots with x) of x and y, a Point or an
+    (m, n) array; raises ValueError unless both have D's n and x is in D."""
     single = isinstance(y, Point)
     ys = y.coords[None, :] if single else np.ascontiguousarray(y, dtype=float)
     if ys.ndim != 2:
         raise ValueError("y must be a Point or an (m, n) array of points")
-    if not x.coords.size == ys.shape[1] == n:
-        raise ValueError(f"points must have {n} coordinates")
-    return ys, single
+    if not x.coords.size == ys.shape[1] == D.dim.n:
+        raise ValueError(f"points must have {D.dim.n} coordinates")
+    if not (ax := x.norm) < D.r:
+        raise ValueError("x must lie inside the ball")
+    return ys, single, ax, row_norms(ys), np.vecdot(ys, x.coords)
+
+
+def sphere_rows(D, x, y):
+    """(single, |x|, |y|, x.y) of x inside the ball D and rows y on its
+    sphere to 1e-12, as the Poisson kernels take them."""
+    _, single, ax, nys, xy = _rows(D, x, y)
+    if not (np.abs(nys - D.r) <= 1e-12).all():
+        raise ValueError("y must lie on the sphere |y| = r")
+    return single, ax, nys, xy
+
+
+def ball_rows(D, x, y):
+    """(single, |x|, |y|, x.y, |x-y|^2) of x != y and rows y inside the ball
+    D; |x-y|^2 sums squared coordinate differences, so it stays accurate as
+    y -> x. The checks read Python floats, faster on one row than NumPy."""
+    ys, single, ax, nys, xy = _rows(D, x, y)
+    diffs = x.coords - ys
+    d2 = np.vecdot(diffs, diffs)
+    if not all(ay < D.r for ay in nys.tolist()):
+        raise ValueError("y must lie inside the ball")
+    if 0.0 in d2.tolist():
+        raise ValueError("green function is singular at x = y")
+    return single, ax, nys, xy, d2
 
 
 def row_norms(ys):
@@ -73,10 +97,9 @@ def row_norms(ys):
     return np.sqrt(np.vecdot(ys, ys))
 
 
-def _cosines(xc, nx, ys, nys, single):
-    """cos of the angle at the origin between x and each row of ys, clamped
-    to [-1, 1] for the Gegenbauer argument, from what a caller holds: x's
-    coordinates xc and nonzero norm nx, the C-contiguous rows ys and their
-    nonzero norms nys. A float back when single, else an array."""
-    c = np.minimum(1.0, np.maximum(-1.0, np.vecdot(ys, xc) / (nx * nys)))
+def _cosines(xy, nx, nys, single):
+    """cos of the angle at the origin between x and each row y, clamped to
+    [-1, 1] for the Gegenbauer argument, from the dots xy and the nonzero
+    norms nx and nys. A float back when single, else an array."""
+    c = np.minimum(1.0, np.maximum(-1.0, xy / (nx * nys)))
     return float(c[0]) if single else c

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point, _cosines, as_rows, row_norms, sphere_area
+from .geometry import Point, _cosines, ball_rows, sphere_area, sphere_rows
 from .specfun import F_k, G_k, _as_order, _block_end, _g0_values, gegenbauer_series
 from .specfun import gegenbauer_sequence  # noqa: F401 (hypbench/layers.py traces it here)
 
@@ -187,17 +187,12 @@ def poisson_kernel(D, x, y, ctl=SeriesControl()):
     to 1e-12 (shape (m,) back, each row with its Point call's bits); all of
     them share the one table of |x|.
     """
-    ys, single = as_rows(D.dim.n, x, y)
-    r, ax, nys = D.r, x.norm, row_norms(ys)
-    if not ax < r:
-        raise ValueError("x must lie inside the ball")
-    if not np.all(np.abs(nys - r) <= 1e-12):
-        raise ValueError("y must lie on the sphere |y| = r")
-    area = sphere_area(D.dim, r)
+    single, ax, nys, xy = sphere_rows(D, x, y)
+    area = sphere_area(D.dim, D.r)
     if ax == 0.0:
-        return 1.0 / area if single else np.full(len(ys), 1.0 / area)
+        return 1.0 / area if single else np.full(len(nys), 1.0 / area)
     a = _poisson_table(D, ax, ctl)
-    return gegenbauer_series(D.dim.rho, a, _cosines(x.coords, ax, ys, nys, single)) / area
+    return gegenbauer_series(D.dim.rho, a, _cosines(xy, ax, nys, single)) / area
 
 
 def _image_coefficient(D, k, ax, ay):
@@ -267,15 +262,9 @@ def green_function(D, x, y, ctl=SeriesControl()):
     gegenbauer_series and one _g0_values call for G_0 of all the rows, each
     with a Point call's bits.
     """
-    ys, single = as_rows(D.dim.n, x, y)
-    diffs = x.coords - ys
+    single, ax, nys, xy, d2 = ball_rows(D, x, y)
     # Python floats from here on: float ** is what a Point call takes
-    nys = row_norms(ys)
-    ax, ays, d2s = x.norm, nys.tolist(), np.vecdot(diffs, diffs).tolist()
-    if not (ax < D.r and all(ay < D.r for ay in ays)):
-        raise ValueError("both points must lie inside the ball")
-    if 0.0 in d2s:
-        raise ValueError("green function is singular at x = y")
+    ays, d2s = nys.tolist(), d2.tolist()
     dim, rho, pref = D.dim, D.dim.rho, _green_prefactor(D.dim)
     rows_at, values = {}, [None] * len(ays)
     for i, ay in enumerate(ays):
@@ -290,7 +279,7 @@ def green_function(D, x, y, ctl=SeriesControl()):
             continue
         b = _image_table(D, lo, hi, ctl)
         at = slice(None) if single else idx
-        image = gegenbauer_series(rho, b, _cosines(x.coords, ax, ys[at], nys[at], single))
+        image = gegenbauer_series(rho, b, _cosines(xy[at], ax, nys[at], single))
         # 1 - 2 x.y + |x|^2 |y|^2 = (1 - |x|^2)(1 - |y|^2) + |x - y|^2
         q = (1 - ax**2) * (1 - ay**2)
         zs += [d2s[i] / (q + d2s[i]) for i in idx]
@@ -309,7 +298,7 @@ def poisson_from_green_derivative(D, x, u, h, ctl=SeriesControl()):
 
     first-order accurate in h. u is a direction (normalized internally)."""
     direction = u.coords if isinstance(u, Point) else np.asarray(u, dtype=float)
-    nu = np.linalg.norm(direction)
+    nu = math.sqrt(direction.dot(direction))
     if nu == 0:
         raise ValueError("direction must be nonzero")
     direction = direction / nu

@@ -41,7 +41,7 @@ class SdeConfig:
     the results is the check). exit_mode 'bridge' applies the per-step
     Brownian-bridge crossing probability, removing the O(sqrt(dt))
     first-crossing bias; 'grid' is plain first grid crossing, kept for
-    dt-refinement bias studies."""
+    dt-refinement bias studies. Only the CLI's dispatch reads scheme."""
 
     dt: float
     n_paths: int
@@ -206,7 +206,7 @@ def simulate_cartesian(dim, x0, D, cfg):
     x0v = np.asarray(x0.coords, dtype=float)
     if x0v.shape != (n,):
         raise ValueError(f"x0 needs {n} coordinates, got {x0v.size}")
-    ax0 = float(np.linalg.norm(x0v))
+    ax0 = x0.norm
     if ax0 == 0.0:
         raise ValueError("x0 must be nonzero (it fixes the reference axis)")
     if ax0 >= r:

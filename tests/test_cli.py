@@ -224,8 +224,8 @@ _ROW_DIGESTS = {
         "50633485e63300b5",
     ("pk-closed", "--n", "8", "--theta-grid", "256", "--format", "json"):
         "34be85c233d176f5",
-    ("green-closed", "--n", "4", "--theta-grid", "256"): "6b2919d53c8ec247",
-    ("green-closed", "--n", "6", "--theta-grid", "256"): "b5169083603aa948",
+    ("green-closed", "--n", "4", "--theta-grid", "256"): "32559e79fb1ecf25",
+    ("green-closed", "--n", "6", "--theta-grid", "256"): "45a7563c4bb77e66",
     ("coeffs", "--kmax", "40"): "1c8d464955c35330",
     ("identity-check", "--suite", "normalization", "--n", "5"): "66498bb057aef058",
 }

@@ -451,12 +451,24 @@ def test_quadrature_failure_raises_without_warning(monkeypatch):
 
 
 def test_green_closed_singularity_guard():
-    x = Point([0.1, 0.2, 0, 0])
-    with pytest.raises(ValueError):
-        green_closed_n4(ball(4), x, x)
-    x6 = Point([0.1, 0.2, 0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        green_closed_n6(ball(6), x6, x6)
+    # at the second point the expanded |x|^2 + |x|^2 - 2 x.x rounds to
+    # -2.8e-17, not 0; the coordinate differences give 0 exactly
+    for c in ([0.1, 0.2, 0], [0.2, -0.1, 0.25]):
+        for fn, n in ((green_closed_n4, 4), (green_closed_n6, 6)):
+            x = Point(c + [0.0] * (n - 3))
+            with pytest.raises(ValueError, match="x = y"):
+                fn(ball(n), x, x)
+
+
+@pytest.mark.parametrize("fn, n", [(green_closed_n4, 4), (green_closed_n6, 6)])
+def test_green_closed_near_the_diagonal_matches_series(fn, n):
+    # 1/|x-y|^2 and log(K0/(r^2 |x-y|^2)) are as accurate as |x-y|^2, which
+    # |x|^2 + |y|^2 - 2 x.y loses to cancellation as y -> x
+    D = ball(n)
+    x = Point([0.3] + [0.0] * (n - 1))
+    for eps in (1e-7, 1e-8):
+        y = Point([0.3, eps] + [0.0] * (n - 2))
+        assert fn(D, x, y) == pytest.approx(green_function(D, x, y), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -466,15 +478,23 @@ def test_green_closed_singularity_guard():
         (poisson_integral, 6, 0.6, "sphere"),
         (green_closed_n4, 4, 0.4, "inside the ball"),
         (green_closed_n6, 6, 0.4, "inside the ball"),
+        (poisson_kernel, 4, 0.6, "sphere"),
+        (green_function, 4, 0.4, "inside the ball"),
     ],
 )
 def test_nan_rows_and_points_are_rejected(fn, n, radius, match):
     # NaN fails every comparison, so each check must be one NaN cannot pass;
     # otherwise the row reaches the quadrature and fails there, or reads
-    # as x = y
+    # as x = y. The five evaluators share these checks (geometry.sphere_rows
+    # and ball_rows), so they also reject alike an x outside the ball and a
+    # row 1e-9 off the sphere (Poisson) or outside the ball (Green)
     D = ball(n)
     x = Point([0.3] + [0.0] * (n - 1))
     ys = plane_points(n, radius, [0.5, 1.5])
+    with pytest.raises(ValueError, match="inside the ball"):
+        fn(D, Point([0.61] + [0.0] * (n - 1)), ys)
+    with pytest.raises(ValueError, match=match):
+        fn(D, x, plane_points(n, 0.6 + 1e-9, [0.5]))
     ys[1, 0] = math.nan
     with pytest.raises(ValueError, match=match):
         fn(D, x, ys)
@@ -485,17 +505,19 @@ def test_nan_rows_and_points_are_rejected(fn, n, radius, match):
 
 
 @pytest.mark.parametrize(
-    "fn", [poisson_kernel, green_function, poisson_integral, green_closed_n4]
+    "fn",
+    [poisson_kernel, green_function, poisson_integral, green_closed_n4, green_closed_n6],
 )
 def test_points_of_another_dimension_are_rejected(fn):
     # a 3-vector in a 4-ball is a usage error, not a point whose missing
     # coordinate reads as 0; x and y are checked alike
-    D = ball(4)
-    x4, x3 = Point([0.3, 0, 0, 0]), Point([0.3, 0, 0])
-    y4, y3 = on_sphere(0.6, 1.0, 4), on_sphere(0.6, 1.0, 3)
-    for x, y in ((x4, y3), (x3, y3), (x3, y4), (x4, y3.coords[None, :])):
-        with pytest.raises(ValueError, match="4 coordinates"):
-            fn(D, x, y)
+    n = 6 if fn is green_closed_n6 else 4
+    D = ball(n)
+    x, x_short = Point([0.3] + [0.0] * (n - 1)), Point([0.3] + [0.0] * (n - 2))
+    y, y_short = on_sphere(0.6, 1.0, n), on_sphere(0.6, 1.0, n - 1)
+    for a, b in ((x, y_short), (x_short, y_short), (x_short, y), (x, y_short.coords[None, :])):
+        with pytest.raises(ValueError, match=f"{n} coordinates"):
+            fn(D, a, b)
 
 
 def test_conjecture1_residual_n4_vanishes():

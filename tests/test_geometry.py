@@ -9,8 +9,7 @@ from hypball.geometry import (
     BallDomain,
     Point,
     _cosines,
-    as_rows,
-    row_norms,
+    ball_rows,
     sphere_area,
     unit_sphere_area,
 )
@@ -109,14 +108,13 @@ def test_distance_additive_along_ray():
 
 def test_cos_angle():
     def cosine(x, y):
-        ys, single = as_rows(x.coords.size, x, y)
-        return _cosines(x.coords, x.norm, ys, row_norms(ys), single)
+        single, ax, nys, xy, _ = ball_rows(BallDomain(Dimension(3), 0.6), x, y)
+        return _cosines(xy, ax, nys, single)
 
-    x = Point([0.5, 0.0])
-    y = Point([0.0, 0.25])
-    assert cosine(x, y) == 0.0
-    assert cosine(x, x) == 1.0
-    assert cosine(x, Point([-0.1, 0.0])) == -1.0
+    x = Point([0.5, 0.0, 0.0])
+    assert cosine(x, Point([0.0, 0.25, 0.0])) == 0.0
+    assert cosine(x, Point([0.25, 0.0, 0.0])) == 1.0
+    assert cosine(x, Point([-0.1, 0.0, 0.0])) == -1.0
 
 
 def same_bits(a, b):
@@ -124,7 +122,7 @@ def same_bits(a, b):
 
 
 def test_vecdot_matches_row_dots():
-    # row_norms and _cosines take one np.vecdot over an array where a Point
+    # _rows takes its norms and dots by np.vecdot over an array where a Point
     # takes ndarray.dot; the two must agree bit for bit on coordinate rows of
     # every n the CLI takes. The sums of every length up to past the table
     # block edges 63, 191 and 447 check the same of long dot products, which
