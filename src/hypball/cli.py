@@ -223,6 +223,9 @@ def _cmd_mc_validate(cfg):
         "pass": bool(worst < 3.0 and samples.censored_fraction < 1e-3),
         "max_abs_z": worst,
         "censored_fraction": samples.censored_fraction,
+        "path_steps": samples.total_steps,
+        "bridge_exits": samples.bridge_exits,
+        "floor_clamps": samples.clamped_steps,
     }
     return ("k", "analytic", "empirical", "std_error", "z_score"), rows, meta
 

@@ -12,6 +12,9 @@ stream keyed on (seed, scheme, block index), so runs replay
 bit-identically and blocks could execute in any order. A scheme supplies
 only its per-step update. The Cartesian state is coordinate-major, (n, m),
 and its coordinate sums keep NumPy's path-major row order (_coord_sum).
+The steps update a few arrays in place, in the float operations of the
+plain expressions; the bridge chain carries its end rate (1-R)^2/R into
+the next step. mc-validate reports the path-step, clamp and bridge-exit counts.
 """
 
 import functools
@@ -71,10 +74,11 @@ class ExitSamples:
     path: tau_steps (step count at exit), phi_exit (exit cosine
     cos(angle(x0, X_tau)), in [-1, 1]) and gauge_integral (the clock
     J = int_0^tau (1-R_s)^2/R_s ds of a gauge chain, or None on an exit-law
-    chain), plus censoring, floor-clamp and path-step accounting."""
+    chain), plus censoring, floor-clamp, path-step and bridge-exit accounting
+    (exits taken by the bridge test with the step's end still inside)."""
 
     def __init__(self, tau_steps, phi_exit, gauge_integral, n_requested,
-                 clamped_steps=0, total_steps=0):
+                 clamped_steps=0, total_steps=0, bridge_exits=0):
         self.tau_steps = np.asarray(tau_steps, dtype=np.int64)
         self.phi_exit = np.asarray(phi_exit, dtype=float)
         self.gauge_integral = (
@@ -83,6 +87,7 @@ class ExitSamples:
         self.n_requested = int(n_requested)
         self.clamped_steps = int(clamped_steps)
         self.total_steps = int(total_steps)
+        self.bridge_exits = int(bridge_exits)
 
     def __len__(self):
         return len(self.phi_exit)
@@ -119,13 +124,14 @@ def _simulate(cfg, stream, start, step, gauge=False):
     block starts every path from start, one value per state array; the
     path axis is last, so a vector start gives a (len(v), m) array.
     step(state, rng) advances the state tuple by one time step and returns
-    (state, exited, exit_value, clamps); exit_value holds one entry per
-    exited path (the exit cosine, or the clock J when gauge is set)
-    and is read only when some path exited. Exited paths are recorded with
+    (state, exited, exit_value, clamps, bridged); exit_value holds one entry
+    per exited path (the exit cosine, or the clock J when gauge is set)
+    and is read only when some path exited, and bridged counts the exits
+    taken by the bridge test alone. Exited paths are recorded with
     their step count and dropped; paths still inside after max_steps are
     censored. Floor clamps beyond 1% of the path-steps warn."""
     exit_steps, exit_counts, values = [], [], []
-    clamped = total_steps = 0
+    clamped = total_steps = bridged = 0
     for block, m0 in enumerate(_block_sizes(cfg.n_paths)):
         rng = _rng(cfg.seed, stream, block)
         state = tuple(np.full(np.shape(v) + (m0,), np.asarray(v, float)[..., None])
@@ -135,8 +141,9 @@ def _simulate(cfg, stream, start, step, gauge=False):
             if m == 0:
                 break
             total_steps += m
-            state, exited, value, clamps = step(state, rng)
+            state, exited, value, clamps, bridge_exits = step(state, rng)
             clamped += clamps
+            bridged += bridge_exits
             if exited.any():
                 exit_steps.append(i)
                 exit_counts.append(np.count_nonzero(exited))
@@ -149,7 +156,7 @@ def _simulate(cfg, stream, start, step, gauge=False):
     values = np.concatenate(values) if values else np.empty(0)
     # a gauge chain does not simulate Phi; its exit cosine is unused
     phis, gauges = (np.ones(len(taus)), values) if gauge else (values, None)
-    out = ExitSamples(taus, phis, gauges, cfg.n_paths, clamped, total_steps)
+    out = ExitSamples(taus, phis, gauges, cfg.n_paths, clamped, total_steps, bridged)
     if total_steps and clamped / total_steps > 0.01:
         warnings.warn(
             f"R hit the floor on {clamped}/{total_steps} steps; "
@@ -224,7 +231,9 @@ def simulate_cartesian(dim, x0, D, cfg):
         dw = np.multiply(root, rng.standard_normal((m, n)).T, order="C")
         # antisymmetric two-point V: V_jl = +-dt = 2dt b - dt (j<l, b in {0, 1}),
         # V_jj = -dt; M_l = sum_j X_j V_jl stands in for the Ito double integrals
-        signs = np.multiply(2 * dt, rng.integers(0, 2, (m, len(pairs))).T, order="C") - dt
+        signs = np.multiply(2 * dt, rng.integers(0, 2, (m, len(pairs)), np.int32).T,
+                            order="C")
+        signs -= dt
         mcol = -dt * x
         tmp = np.empty_like(x)
         for idx, (j, l) in enumerate(pairs):
@@ -269,8 +278,12 @@ def simulate_cartesian(dim, x0, D, cfg):
             d1 = np.maximum(r - rho1[ex], 0.0)
             lam = np.where(grid_hit[ex], lam_grid, d0 / (d0 + d1))
             hit = xe + lam[:, None] * seg
-            phi = np.clip(hit @ x0v / (np.linalg.norm(hit, axis=1) * ax0), -1.0, 1.0)
-        return (x_new, rho1), exited, phi, 0
+            # not geometry's cosine and row norm: the pinned stream bits depend on `@`
+            phi = hit @ x0v
+            phi /= np.sqrt(np.add.reduce(hit * hit, axis=1)) * ax0
+            np.minimum(np.maximum(phi, -1.0, out=phi), 1.0, out=phi)
+        bridged = ex.size - int(np.count_nonzero(grid_hit[ex]))
+        return (x_new, rho1), exited, phi, 0, bridged
 
     return _simulate(cfg, _STREAM_CARTESIAN, (x0v, ax0), step)
 
@@ -298,7 +311,7 @@ def _polar_grid_core(dim, R0, D, cfg):
         ) * root * xi[:, 1] - (n - 1) * one_m * one_m / R * phi * cfg.dt
         phi = np.clip(phi, -1.0, 1.0)
         exited = Rn >= r2
-        return (Rn, phi), exited, phi[exited], clamps
+        return (Rn, phi), exited, phi[exited], clamps, 0
 
     return _simulate(cfg, _STREAM_POLAR, (R0, 1.0), step)
 
@@ -306,9 +319,10 @@ def _polar_grid_core(dim, R0, D, cfg):
 def _cot_minus_inv(x):
     """cot x - 1/x, regular at the origin."""
     small = x < 0.05
-    xd = np.where(small, 1.0, x)
+    xd = np.where(small, 1.0, x) if small.any() else x
     out = 1.0 / np.tan(xd) - 1.0 / xd
-    out[small] = -x[small] / 3.0 - x[small] ** 3 / 45.0
+    if xd is not x:  # the series below 0.05
+        out[small] = -x[small] / 3.0 - x[small] ** 3 / 45.0
     return out
 
 
@@ -351,10 +365,11 @@ def _sphere_angle_step(theta, f_dt, rng, n):
     deviations of a pole, where cot is stiff, the step is taken as
     _POLE_SUBSTEPS flat (n-1)-dimensional embedding substeps with the
     curvature drift correction (n-2) f dt (cot theta - 1/theta), regular
-    at the pole. Mirror symmetry folds everything onto [0, pi/2] first."""
+    at the pole. Mirror symmetry folds everything onto [0, pi/2] first;
+    theta is stepped in its own array, which is returned."""
     s = np.sqrt(2.0 * f_dt)
     upper = theta > 0.5 * math.pi
-    th = np.where(upper, math.pi - theta, theta)
+    th = np.subtract(math.pi, theta, out=theta, where=upper)
     near = th < 5.0 * s
     far = np.flatnonzero(~near)
     pole = np.flatnonzero(near)
@@ -370,15 +385,26 @@ def _sphere_angle_step(theta, f_dt, rng, n):
         t0 = th[pole]
         fm = f_dt[pole] / _POLE_SUBSTEPS
         sm = np.sqrt(2.0 * fm)
-        sm2 = sm * sm
-        # one draw for all substeps, in stream order, laid out coordinate-major
-        xi = rng.standard_normal((_POLE_SUBSTEPS, pole.size, n - 1))
-        for z in np.ascontiguousarray(xi.transpose(0, 2, 1)):
-            flat = np.sqrt((t0 + sm * z[0]) ** 2 + sm2 * _coord_sum(z[1:] ** 2))
-            t0 = np.abs(flat + (n - 2) * fm * _cot_minus_inv(t0))
+        # one draw for all substeps, in stream order, laid out coordinate-major;
+        # the theta-free parts of every substep, sm z_0 and sm^2 |z_1..|^2, at once
+        xi = rng.standard_normal((_POLE_SUBSTEPS, pole.size, n - 1)).transpose(2, 0, 1)
+        shift, spread = sm * xi[0], (sm * sm) * _coord_sum(xi[1:] ** 2)
+        drift = (n - 2) * fm
+        for k in range(_POLE_SUBSTEPS):
+            flat = np.sqrt((t0 + shift[k]) ** 2 + spread[k])
+            t0 = np.abs(flat + drift * _cot_minus_inv(t0))
         th[pole] = t0
-    th = np.minimum(th, math.pi - 1e-12)
-    return np.where(upper, math.pi - th, th)
+    np.minimum(th, math.pi - 1e-12, out=th)
+    return np.subtract(math.pi, th, out=th, where=upper)
+
+
+def _rate(S):
+    """The rate f = (1-R)^2/R at R = tanh(S)^2, in that expression's float ops."""
+    R = np.tanh(S)
+    R *= R
+    f = np.subtract(1.0, R)
+    f *= f
+    return np.divide(f, R, out=f)
 
 
 def _polar_bridge_core(dim, R0, D, cfg, stream, gauge=False):
@@ -398,35 +424,51 @@ def _polar_bridge_core(dim, R0, D, cfg, stream, gauge=False):
     fraction given the step endpoints. Charging the full step would bias
     both estimates low by about rate * dt/2 per path, and the
     straight-line crossing fraction still overcharges: conditioned on
-    crossing, the bridge typically crosses earlier than the chord does."""
+    crossing, the bridge typically crosses earlier than the chord does.
+    The step's end rate is carried in the state as the next step's start
+    rate; it is recomputed only where the floor moved R."""
     n = dim.n
     S_bar = math.atanh(D.r)
     S_floor = math.atanh(math.sqrt(_R_FLOOR))
+    half_dt = 0.5 * cfg.dt
     root = math.sqrt(2 * cfg.dt)
+    c = 2.0 * (n - 1)  # the drift is c coth(2S)
+    f_exit = (1.0 - D.r**2) * (1.0 - D.r**2) / D.r**2  # the rate at R = r^2
 
     def step(state, rng):
-        S, theta = state  # theta holds the clock J on a gauge chain
+        S, theta, f = state  # theta holds the clock J on a gauge chain
         m = len(S)
-        xi = rng.standard_normal(m)
+        noisy = rng.standard_normal(m)
         u = rng.random(m)
-        R = np.tanh(S) ** 2
-        drift = (2 * (n - 1)) / np.tanh(2 * S)
-        noisy = S + root * xi
-        pred = np.maximum(noisy + drift * cfg.dt, S_floor)
-        Sn = noisy + (0.5 * cfg.dt) * (drift + (2 * (n - 1)) / np.tanh(2 * pred))
+        drift = np.multiply(S, 2.0)
+        np.divide(c, np.tanh(drift, out=drift), out=drift)
+        noisy *= root
+        noisy += S
+        Sn = np.multiply(drift, cfg.dt)
+        Sn += noisy
+        np.maximum(Sn, S_floor, out=Sn)  # the predictor
+        Sn *= 2.0
+        np.divide(c, np.tanh(Sn, out=Sn), out=Sn)
+        Sn += drift
+        Sn *= half_dt
+        Sn += noisy
+        d0 = np.subtract(S_bar, S, out=S)
+        gap = np.subtract(S_bar, Sn, out=drift)
+        p = np.maximum(gap, 0.0, out=noisy)
+        p *= d0
+        p /= -cfg.dt
         grid_hit = Sn >= S_bar
-        d0 = S_bar - S
-        gap = S_bar - Sn
-        p = np.exp(-d0 * np.maximum(gap, 0.0) / cfg.dt)
-        exited = grid_hit | (u < p)
+        exited = grid_hit | (u < np.exp(p, out=p))
         ex = np.flatnonzero(exited)
-        R_end = np.where(exited, D.r**2, np.tanh(np.minimum(Sn, S_bar)) ** 2)
+        f_end = _rate(Sn)  # Sn < S_bar on every path that goes on
+        f_end[ex] = f_exit
         # the exit step is charged up to its mean crossing fraction
-        charge = (0.5 * cfg.dt) * ((1 - R) ** 2 / R + (1 - R_end) ** 2 / R_end)
+        charge = np.add(f, f_end, out=u)
+        charge *= half_dt
         if ex.size:
             charge[ex] *= _mean_crossing_fraction(d0[ex] / root, np.abs(gap[ex]) / root)
         if gauge:
-            theta = theta + charge
+            theta += charge
             value = theta[ex]
         else:
             theta = _sphere_angle_step(theta, charge, rng, n)
@@ -434,12 +476,15 @@ def _polar_bridge_core(dim, R0, D, cfg, stream, gauge=False):
         # the floor is counted only on paths that go on
         clamps = 0
         if Sn.min() < S_floor:
-            clamps = int(np.count_nonzero((Sn < S_floor) & ~exited))
-            Sn = np.maximum(Sn, S_floor)
-        return (Sn, theta), exited, value, clamps
+            low = Sn < S_floor
+            clamps = int(np.count_nonzero(low & ~exited))
+            Sn[low] = S_floor
+            f_end[low] = _rate(Sn[low])
+        bridged = ex.size - int(np.count_nonzero(grid_hit[ex]))
+        return (Sn, theta, f_end), exited, value, clamps, bridged
 
     S0 = math.atanh(math.sqrt(R0))
-    return _simulate(cfg, stream, (S0, 0.0), step, gauge)
+    return _simulate(cfg, stream, (S0, 0.0, _rate(np.full(1, S0))[0]), step, gauge)
 
 
 def simulate_polar(dim, R0, D, cfg):

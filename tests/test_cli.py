@@ -440,6 +440,19 @@ def test_mc_validate_report(tmp_path, capsys):
     assert rows[0][1] == "1" and rows[0][2] == "1" and rows[0][4] == "0"
     for row in rows[1:]:
         assert abs(float(row[4])) < 3.0
+    # the simulator counters are deterministic, so a rerun writes the same
+    # bytes; bridge exits are a share of the exits, and grid mode takes none
+    for mode in ("bridge", "grid"):
+        cfg = parse_config(argv + ["--exit-mode", mode])
+        assert run(cfg) == 0
+        first = out.read_bytes()
+        assert run(cfg) == 0
+        assert out.read_bytes() == first
+        meta = dict(h[2:].split("=", 1) for h in read_table(out)[0][1:])
+        exits = 4000 * (1 - float(meta["censored_fraction"]))
+        bridged = int(meta["bridge_exits"])
+        assert int(meta["path_steps"]) >= exits and int(meta["floor_clamps"]) == 0
+        assert bridged <= exits and (bridged > 0) == (mode == "bridge")
 
 
 def test_identity_check_wronskian_passes(tmp_path):
