@@ -69,10 +69,11 @@ def _rows(D, x, y):
 
 
 def sphere_rows(D, x, y):
-    """(single, |x|, |y|, x.y) of x inside the ball D and rows y on its
-    sphere to 1e-12, as the Poisson kernels take them."""
+    """(single, |x|, |y|, x.y) of x inside the ball D and rows y on its sphere
+    to 1e-12 (one row checked as a Python float), as the Poisson kernels take them."""
     _, single, ax, nys, xy = _rows(D, x, y)
-    if not (np.abs(nys - D.r) <= 1e-12).all():
+    off = abs(nys.item() - D.r) if single else np.abs(nys - D.r).max(initial=0.0)
+    if not off <= 1e-12:
         raise ValueError("y must lie on the sphere |y| = r")
     return single, ax, nys, xy
 

@@ -4,9 +4,10 @@
 The Poisson kernel is a Gegenbauer series in cos(angle) with radial
 coefficients built from F_k. The Green function is the whole-space Green
 function, closed form through G_0, minus a Gegenbauer series for its Kelvin
-image, which converges geometrically for every pair of points. Truncation
-is controlled by an angle-free majorant (Gegenbauer polynomials evaluated
-at 1) whose tail has a proven geometric bound.
+image, which converges geometrically for every pair of points. Both read
+F_k(z) from one cached record per (n, z, block of orders). Truncation is
+controlled by an angle-free majorant (Gegenbauer polynomials evaluated at
+1) whose tail has a proven geometric bound.
 """
 
 import functools
@@ -61,34 +62,42 @@ def _powers(q, k):
     return q**k if np.ndim(k) == 0 else np.array([q**j for j in k.tolist()])
 
 
-class _Boundary:
-    """The boundary values of the ball |x| < r at the orders k0..k1, z = r^2:
-    F_k(z), checked once not to vanish, kappa_k = F_k(z)/(1-z)^rho, and
-    G_k(z) on first use, as only the Green function reads it. _boundary
-    keeps one record per ball and block of orders, as the tables revisit the
-    same blocks at every |x|, |y|; a build that raised is not kept."""
+class _Radial:
+    """Read-only radial values at z of the orders k0..k1: F_k(z), checked once
+    to be positive (F_k(z) >= (1-z)^rho > 0, see _series_table), and G_k(z) on
+    first use, which only z = r^2 reads. _radial keeps one per (n, z, block of
+    orders), so the tables of one ball share F_k(r^2) and those of one |x|
+    F_k(|x|^2); a build that raised is not kept."""
 
     def __init__(self, dim, z, k0, k1):
         self.dim, self.z, self.k0, self.k1 = dim, z, k0, k1
         self.f = F_k(dim, np.arange(k0, k1 + 1), z)
-        if np.any(np.abs(self.f) < 1e-14):
-            raise RuntimeError("F_k(r^2) vanished; radial solution is corrupt")
-        self.kappa = self.f / (1 - z) ** dim.rho
+        self.f.flags.writeable = False
+        if not self.f.min() >= 1e-14:
+            raise RuntimeError(f"F_k({z!r}) vanished; radial solution is corrupt")
 
     @functools.cached_property
     def g(self):
-        return G_k(self.dim, np.arange(self.k0, self.k1 + 1), self.z)
+        g = G_k(self.dim, np.arange(self.k0, self.k1 + 1), self.z)
+        g.flags.writeable = False
+        return g
 
 
-_boundary = functools.lru_cache(maxsize=256)(_Boundary)
+_radial = functools.lru_cache(maxsize=512)(_Radial)
 
 
-def _at_boundary(D, k):
-    """The boundary record of D at the orders min(k)..max(k) of an order k or
-    int array k (order 0's for an empty array), and the index of k in it."""
+def _records(D, k0, k1, radii):
+    """The records of r^2 and of each radius squared at the orders k0..k1."""
+    return [_radial(D.dim, z, k0, k1) for z in (D.r**2, *(a**2 for a in radii))]
+
+
+def _at_orders(D, terms, k, radii):
+    """A table's terms(D, ks, *radii, *records) at an order k (a float back) or
+    int array k: on the orders ks = min(k)..max(k) (0..0 if empty), taken at k."""
     k1 = int(np.max(k, initial=0))
     k0 = int(np.min(k, initial=k1))
-    return _boundary(D.dim, D.r**2, k0, k1), k - k0
+    value = terms(D, np.arange(k0, k1 + 1), *radii, *_records(D, k0, k1, radii))[k - k0]
+    return float(value) if np.ndim(k) == 0 else value
 
 
 @functools.lru_cache(maxsize=64)
@@ -119,18 +128,21 @@ def poisson_coefficient(D, k, ax):
     k = _as_order(k)
     if not 0 <= ax < D.r:
         raise ValueError("needs 0 <= ax < r")
-    b, i = _at_boundary(D, k)
-    value = _powers(ax / D.r, k) * F_k(D.dim, k, ax**2) / b.f[i]
-    return float(value) if np.ndim(k) == 0 else value
+    return _at_orders(D, _poisson_terms, k, (ax,))
 
 
-def _series_table(name, D, coefficient, base, scale, ctl):
-    """Terms 0..K-1 of a_k = (k+rho)/rho * coefficient(k), K >= 1 the first
+def _poisson_terms(D, ks, ax, b, x):
+    """The Poisson coefficients at the orders ks of the records b of r^2 and x
+    of ax^2: the one formula of the table blocks and poisson_coefficient."""
+    return _powers(ax / D.r, ks) * x.f / b.f
+
+
+def _series_table(name, D, terms, radii, base, scale, ctl):
+    """Terms 0..K-1 of a_k = (k+rho)/rho * c_k, K >= 1 the first
     order whose proven bound on the tail sum_(k >= K) m_k, m_k = |a_k| C_k(1)
-    >= |a_k C_k(cos)|, is below ctl.tol * scale. The coefficients come in
-    the blocks of orders of _block_end, and each block is cut at once. A
-    table computes coefficient(k) and the cut; what depends on n alone comes
-    from _orders, kappa_k from the boundary record of the block.
+    >= |a_k C_k(cos)|, is below ctl.tol * scale, in the blocks of orders ks
+    of _block_end, each cut at once: c_k = terms(D, ks, *radii, *records) of
+    their _records, and what depends on n alone comes from _orders.
 
     For j >= k >= 1, m_j <= m_k kappa_k q_k^(j-k) with kappa_k =
     F_k(r^2)/(1-r^2)^rho and q_k the step-ratio bound of series `name` in
@@ -142,16 +154,17 @@ def _series_table(name, D, coefficient, base, scale, ctl):
     p_(k-1)/p_k = (n+k-1)/(n/2+k-1); and C_(k+1)(1)/C_k(1) = (k+n-2)/(k+1).
     Raises SeriesTruncationError, with the bound over scale, when k_max is
     reached first."""
-    dim, z, target = D.dim, D.r**2, ctl.tol * scale
+    dim, target, edge = D.dim, ctl.tol * scale, (1 - D.r**2) ** D.dim.rho
     blocks, k0 = [], 0
     while k0 <= ctl.k_max:
         k1 = min(_block_end(k0), ctl.k_max)
         ks, weight, c_at_1, after_0, steps = _orders(dim.n, k0, k1)
-        block = weight * coefficient(ks)
+        records = _records(D, k0, k1, radii)
+        block = weight * terms(D, ks, *radii, *records)
         a, b, c = steps[name]
         q = base * a * b / c
         with np.errstate(divide="ignore"):
-            bound = (np.abs(block) * c_at_1 * _boundary(dim, z, k0, k1).kappa
+            bound = (np.abs(block) * c_at_1 * (records[0].f / edge)
                      / np.where(q < 1, 1 - q, 0.0))
         met = after_0 & (bound < target)
         if met.any():
@@ -170,10 +183,8 @@ def _poisson_table(D, ax, ctl):
     """Coefficients a_k = (k+rho)/rho * poisson_coefficient(k) up to the
     truncation point, cached per (domain, |x|, control). Both table caches
     keep 64: a CLI command revisits a few tables, a new |x| none."""
-    return _series_table(
-        "poisson", D, lambda ks: poisson_coefficient(D, ks, ax), ax / D.r,
-        sphere_area(D.dim, D.r), ctl,
-    )
+    return _series_table("poisson", D, _poisson_terms, (ax,), ax / D.r,
+                         sphere_area(D.dim, D.r), ctl)
 
 
 def poisson_kernel(D, x, y, ctl=SeriesControl()):
@@ -201,14 +212,16 @@ def _image_coefficient(D, k, ax, ay):
         C_n rho/(k+rho) F_k(ax^2) F_k(ay^2) s^k G_k(r^2) / (F_k(r^2) r^(2 rho)),
 
     s = ax ay / r^2 < 1, for an integer k or array of k."""
+    return _at_orders(D, _image_terms, k, (ax, ay))
+
+
+def _image_terms(D, ks, ax, ay, b, x, y):
+    """The image coefficients at the orders ks of the records b of r^2, x of
+    ax^2 and y of ay^2: the one formula of table blocks and _image_coefficient."""
     dim, rho, r = D.dim, D.dim.rho, D.r
-    b, i = _at_boundary(D, k)
-    radial = F_k(dim, k, ax**2) * F_k(dim, k, ay**2) * _powers(ax * ay / r**2, k)
-    value = (
-        _green_prefactor(dim) * rho / (k + rho) * radial
-        * b.g[i] / (b.f[i] * r ** (2 * rho))
-    )
-    return float(value) if np.ndim(k) == 0 else value
+    radial = x.f * y.f * _powers(ax * ay / r**2, ks)
+    return (_green_prefactor(dim) * rho / (ks + rho) * radial
+            * b.g / (b.f * r ** (2 * rho)))
 
 
 def green_coefficient(D, k, ax, R):
@@ -240,10 +253,7 @@ def green_coefficient(D, k, ax, R):
 def _image_table(D, ax, ay, ctl):
     """Terms (k+rho)/rho * _image_coefficient(k, ax, ay) up to truncation;
     their step ratio bound has base s = ax ay / r^2 < 1 and tends to it."""
-    return _series_table(
-        "green", D, lambda ks: _image_coefficient(D, ks, ax, ay), ax * ay / D.r**2,
-        1.0, ctl,
-    )
+    return _series_table("green", D, _image_terms, (ax, ay), ax * ay / D.r**2, 1.0, ctl)
 
 
 def green_function(D, x, y, ctl=SeriesControl()):

@@ -116,11 +116,15 @@ def F_k(dim, k, z):
         f = _hyp_sweep(k, -dim.rho, k + dim.n / 2, z)
         return f if np.ndim(k) else float(f)
     ks = np.atleast_1d(k)
-    out = np.ones(ks.shape)  # F_k(0) = 1
-    ends = _block_end(ks)
-    for top in set(ends.tolist()) if z > 0 else ():
-        here = ends == top
-        out[here] = _f_recurrence(dim, top, z)[ks[here]]
+    top = _block_end(int(ks.max(initial=0)))
+    if z > 0 and _block_end(int(ks.min(initial=0))) == top:
+        out = _f_recurrence(dim, top, z)[ks]  # one block (a table's): no per-order ends
+    else:
+        out = np.ones(ks.shape)  # F_k(0) = 1
+        ends = _block_end(ks)
+        for top in set(ends.tolist()) if z > 0 else ():
+            here = ends == top
+            out[here] = _f_recurrence(dim, top, z)[ks[here]]
     return out if np.ndim(k) else float(out[0])
 
 

@@ -36,10 +36,11 @@ def gegenbauer(v, k, x):
 
 def hyperbolic_distance(x, y):
     """Hyperbolic distance between interior points of the ball model:
-    cosh(2 d(x,y)) = 1 + 2|x-y|^2 / ((1-|x|^2)(1-|y|^2))."""
+    cosh(2 d(x,y)) = 1 + 2|x-y|^2 / ((1-|x|^2)(1-|y|^2)), taken as
+    sinh d = |x-y| / sqrt((1-|x|^2)(1-|y|^2)), which keeps its precision for
+    close points (acosh of 1 + 2e-18 reads 0)."""
     dx = x.coords - y.coords
-    arg = 1 + 2 * float(dx @ dx) / ((1 - x.norm**2) * (1 - y.norm**2))
-    return 0.5 * math.acosh(arg)
+    return math.asinh(math.sqrt(float(dx @ dx) / ((1 - x.norm**2) * (1 - y.norm**2))))
 
 
 @dataclass(frozen=True)

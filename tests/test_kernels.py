@@ -5,6 +5,8 @@ import mp_reference
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import example, given, settings, strategies as st
+from kernel_caches import clear_kernel_caches
 from reference_helpers import GegenbauerSpectrum, spectrum_of
 
 from hypball import kernels
@@ -38,26 +40,27 @@ def on_sphere(r, theta, n):
 
 def test_cold_odd_tables_call_the_traced_F_k(monkeypatch):
     # the benchmark's tracer counts F_k calls through the name bound in
-    # kernels; a table that reached F_k another way would read 0 calls
+    # kernels; a table that reached F_k another way would read 0 calls. The
+    # radial records are shared, so from cold caches a Poisson call and then
+    # a Green call at the same x reach it once per (|x|^2, block of orders):
+    # here the Poisson table spans 4 blocks and the image table 2 of them
     seen = []
     real = kernels.F_k
 
     def counting(dim, k, z):
-        seen.append(z)
+        seen.append((z, int(k[0])))
         return real(dim, k, z)
 
     monkeypatch.setattr(kernels, "F_k", counting)
-    kernels._boundary.cache_clear()
-    _poisson_table.cache_clear()
-    _image_table.cache_clear()
+    clear_kernel_caches()
     D = ball(5, 0.95)
-    x = Point([0.437, 0, 0, 0, 0])
+    x, y = Point([0.9, 0, 0, 0, 0]), Point([0, 0.85, 0, 0, 0])
     poisson_kernel(D, x, on_sphere(0.95, 1.0, 5))
-    assert x.norm**2 in seen and 0.95**2 in seen
+    at_x = [k0 for z, k0 in seen if z == x.norm**2]
+    assert at_x == [0, 64, 192, 448] and (0.95**2, 448) in seen
     seen.clear()
-    y = Point([0, 0.611, 0, 0, 0])
     green_function(D, x, y)
-    assert x.norm**2 in seen and y.norm**2 in seen
+    assert [k0 for z, k0 in seen] == [0, 64] and {z for z, _ in seen} == {y.norm**2}
 
 
 def test_traced_names_do_not_rebuild_boundary_records(monkeypatch):
@@ -67,11 +70,10 @@ def test_traced_names_do_not_rebuild_boundary_records(monkeypatch):
     D, z = ball(5, 0.95), 0.95**2
     y, on = Point([0, 0.611, 0, 0, 0]), on_sphere(0.95, 1.0, 5)
     warm = Point([0.437, 0, 0, 0, 0])
-    _poisson_table.cache_clear()
-    _image_table.cache_clear()
+    clear_kernel_caches()
     poisson_kernel(D, warm, on)
     green_function(D, warm, y)
-    seen, misses = [], kernels._boundary.cache_info().misses
+    seen, misses = [], kernels._radial.cache_info().misses
     for name in ("F_k", "G_k"):
 
         def wrapper(dim, k, z, fn=getattr(kernels, name)):
@@ -82,8 +84,9 @@ def test_traced_names_do_not_rebuild_boundary_records(monkeypatch):
     x = Point([0.431, 0, 0, 0, 0])
     poisson_kernel(D, x, on)
     green_function(D, x, y)
+    # every record miss, and only a miss, reaches the traced F_k
     assert x.norm**2 in seen and z not in seen
-    assert kernels._boundary.cache_info().misses == misses
+    assert kernels._radial.cache_info().misses - misses == len(seen)
 
 
 def test_order_arrays_match_scalar_calls():
@@ -99,16 +102,47 @@ def test_order_arrays_match_scalar_calls():
         ]
         for coefficient in coefficients:
             for ks in ([7, 2, 5], [3, 3, 0, 3], [0, 64, 200, 1500], []):
-                kernels._boundary.cache_clear()
+                clear_kernel_caches()
                 values = coefficient(np.array(ks, dtype=int))
                 scalars = [coefficient(k) for k in ks]
                 assert all(type(v) is float for v in scalars)
                 assert values.tobytes() == np.array(scalars, dtype=float).tobytes()
 
 
+@given(st.integers(3, 8), st.floats(0.1, 0.95), st.floats(0.05, 0.9), st.floats(0.05, 1.0))
+@settings(max_examples=40, deadline=None)
+@example(5, 0.95, 0.92 / 0.95, 0.9 / 0.92)  # tables of 5 and 3 blocks of orders
+@example(3, 0.95, 0.93 / 0.95, 0.92 / 0.93)  # 5 and 3
+@example(7, 0.6, 0.55 / 0.6, 0.5 / 0.55)  # 4 and 2
+def test_table_blocks_equal_the_per_order_coefficients(n, r, q, f):
+    # a table block and a per-order call evaluate the same formula on the
+    # same records, so the tables hold (k+rho)/rho times the per-order
+    # coefficients bit for bit, whichever of them built the records
+    D, rho, ctl = ball(n, r), (n - 2) / 2, SeriesControl()
+    ax = q * r
+    ay = f * ax
+    clear_kernel_caches()
+    poisson, image = _poisson_table(D, ax, ctl), _image_table(D, ay, ax, ctl)
+    for table, coefficient in (
+        (poisson, lambda ks: poisson_coefficient(D, ks, ax)),
+        (image, lambda ks: _image_coefficient(D, ks, ay, ax)),
+    ):
+        ks = np.arange(len(table))
+        assert table.tobytes() == ((ks + rho) / rho * coefficient(ks)).tobytes()
+
+
+def test_radial_records_are_read_only():
+    # the records are shared by every table of their z: none may be written
+    record = kernels._radial(Dimension(5), 0.95**2, 64, 191)
+    for values in (record.f, record.g):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+
+
 def test_vanishing_boundary_values_raise(monkeypatch):
-    # F_k(r^2) >= (1-r^2)^rho > 0, so only a corrupt radial layer trips the
-    # guard; a record whose build raised is not kept
+    # F_k(z) >= (1-z)^rho > 0 for every z, so only a corrupt radial layer
+    # trips the guard, at r^2 or at |x|^2; a record whose build raised is
+    # not kept, so every call is finite once the layer is sound again
     D = ball(5, 0.95)
     x, y = Point([0.437, 0, 0, 0, 0]), Point([0, 0.611, 0, 0, 0])
     on, real = on_sphere(0.95, 1.0, 5), kernels.F_k
@@ -117,17 +151,16 @@ def test_vanishing_boundary_values_raise(monkeypatch):
         lambda: poisson_kernel(D, x, on),
         lambda: green_function(D, x, y),
     ]
-    monkeypatch.setattr(
-        kernels, "F_k", lambda dim, k, z: real(dim, k, z) * (z != D.r**2)
-    )
-    kernels._boundary.cache_clear()
-    _poisson_table.cache_clear()
-    _image_table.cache_clear()
-    for call in calls:
-        with pytest.raises(RuntimeError, match="vanished"):
-            call()
-    monkeypatch.undo()
-    assert all(math.isfinite(call()) for call in calls)
+    for corrupt in ({D.r**2}, {0.5**2, x.norm**2}):
+        monkeypatch.setattr(
+            kernels, "F_k", lambda dim, k, z: real(dim, k, z) * (z not in corrupt)
+        )
+        clear_kernel_caches()
+        for call in calls:
+            with pytest.raises(RuntimeError, match="vanished"):
+                call()
+        monkeypatch.undo()
+        assert all(math.isfinite(call()) for call in calls)
 
 
 def test_series_control_validation():
@@ -460,15 +493,14 @@ _POINT_DIGESTS = {
 
 def point_values(n):
     """poisson_kernel and green_function at one Point at a time, each table
-    first cold (the table caches cleared) and then warm; a Poisson table
+    first cold (every kernel cache cleared) and then warm; a Poisson table
     that misses tol within k_max gives its achieved tail bound."""
     values = []
     for r in (0.3, 0.6, 0.95):
         D = ball(n, r)
         for q in (0.2, 0.7, 0.97):
             x = on_sphere(q * r, 0.3, n)
-            _poisson_table.cache_clear()
-            _image_table.cache_clear()
+            clear_kernel_caches()
             for _ in ("cold", "warm"):
                 for theta in (0.4, 1.9, 3.0):
                     try:
