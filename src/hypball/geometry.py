@@ -100,7 +100,13 @@ def row_norms(ys):
 
 def _cosines(xy, nx, nys, single):
     """cos of the angle at the origin between x and each row y, clamped to
-    [-1, 1] for the Gegenbauer argument, from the dots xy and the nonzero
-    norms nx and nys. A float back when single, else an array."""
-    c = np.minimum(1.0, np.maximum(-1.0, xy / (nx * nys)))
-    return float(c[0]) if single else c
+    [-1, 1] for the Gegenbauer argument, from the dots xy and the norms nx
+    and nys; 0.0 where a norm is 0. A float back when single (on Python
+    floats), else an array."""
+    if single:
+        norms = nx * nys.item()
+        return min(1.0, max(-1.0, xy.item() / norms)) if norms else 0.0
+    norms = nx * nys
+    c = np.divide(xy, norms, out=np.zeros(len(xy)), where=norms != 0)
+    np.maximum(c, -1.0, out=c)
+    return np.minimum(c, 1.0, out=c)

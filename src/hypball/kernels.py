@@ -4,10 +4,11 @@
 The Poisson kernel is a Gegenbauer series in cos(angle) with radial
 coefficients built from F_k. The Green function is the whole-space Green
 function, closed form through G_0, minus a Gegenbauer series for its Kelvin
-image, which converges geometrically for every pair of points. Both read
-F_k(z) from one cached record per (n, z, block of orders). Truncation is
-controlled by an angle-free majorant (Gegenbauer polynomials evaluated at
-1) whose tail has a proven geometric bound.
+image, which converges geometrically for every pair of points, the center
+included. Every coefficient reads F_k(z) and G_k(z) from one cached record
+per (n, z, block of orders). Truncation is controlled by an angle-free
+majorant (Gegenbauer polynomials evaluated at 1) whose tail has a proven
+geometric bound.
 """
 
 import functools
@@ -57,17 +58,18 @@ def _green_prefactor(dim):
     return math.gamma(dim.n / 2 - 1) / (4 * math.pi ** (dim.n / 2))
 
 
-def _powers(q, k):
-    """q**k by Python float powers (np.power can differ in the last bit)."""
-    return q**k if np.ndim(k) == 0 else np.array([q**j for j in k.tolist()])
+def _powers(q, ks):
+    """q**k at the orders ks by Python float powers (np.power can differ)."""
+    return np.array([q**k for k in ks.tolist()])
 
 
 class _Radial:
     """Read-only radial values at z of the orders k0..k1: F_k(z), checked once
     to be positive (F_k(z) >= (1-z)^rho > 0, see _series_table), and G_k(z) on
-    first use, which only z = r^2 reads. _radial keeps one per (n, z, block of
-    orders), so the tables of one ball share F_k(r^2) and those of one |x|
-    F_k(|x|^2); a build that raised is not kept."""
+    first use, which the tables read at z = r^2 and green_coefficient also at
+    |y|^2. _radial keeps one per (n, z, block of orders), so the tables of one
+    ball share F_k(r^2) and those of one |x| F_k(|x|^2); a build that raised is
+    not kept. These records are the only readers of F_k and G_k here."""
 
     def __init__(self, dim, z, k0, k1):
         self.dim, self.z, self.k0, self.k1 = dim, z, k0, k1
@@ -196,28 +198,20 @@ def poisson_kernel(D, x, y, ctl=SeriesControl()):
     poisson_coefficient(k) * C_k^{(rho)}(cos theta) by gegenbauer_series.
     y is a Point (a float back) or an (m, n) array of points with |y| = r
     to 1e-12 (shape (m,) back, each row with its Point call's bits); all of
-    them share the one table of |x|.
+    them share the one table of |x|, which at the center is the one term 1.
     """
     single, ax, nys, xy = sphere_rows(D, x, y)
-    area = sphere_area(D.dim, D.r)
-    if ax == 0.0:
-        return 1.0 / area if single else np.full(len(nys), 1.0 / area)
-    a = _poisson_table(D, ax, ctl)
+    a, area = _poisson_table(D, ax, ctl), sphere_area(D.dim, D.r)
     return gegenbauer_series(D.dim.rho, a, _cosines(xy, ax, nys, single)) / area
 
 
-def _image_coefficient(D, k, ax, ay):
-    """Gegenbauer coefficient of the Kelvin image in the Green function,
+def _image_terms(D, ks, ax, ay, b, x, y):
+    """Gegenbauer coefficients of the Kelvin image in the Green function,
 
         C_n rho/(k+rho) F_k(ax^2) F_k(ay^2) s^k G_k(r^2) / (F_k(r^2) r^(2 rho)),
 
-    s = ax ay / r^2 < 1, for an integer k or array of k."""
-    return _at_orders(D, _image_terms, k, (ax, ay))
-
-
-def _image_terms(D, ks, ax, ay, b, x, y):
-    """The image coefficients at the orders ks of the records b of r^2, x of
-    ax^2 and y of ay^2: the one formula of table blocks and _image_coefficient."""
+    s = ax ay / r^2 < 1, at the orders ks of the records b of r^2, x of ax^2
+    and y of ay^2: the one formula of the table blocks and green_coefficient."""
     dim, rho, r = D.dim, D.dim.rho, D.r
     radial = x.f * y.f * _powers(ax * ay / r**2, ks)
     return (_green_prefactor(dim) * rho / (ks + rho) * radial
@@ -231,27 +225,29 @@ def green_coefficient(D, k, ax, R):
             [ G_k(R^2)/R^(2k+2rho) - G_k(r^2)/r^(2k+2rho) F_k(R^2)/F_k(r^2) ]
 
     evaluated in the ratio form (ax/R)^k and (ax R/r^2)^k so large k never
-    overflows; the second half is _image_coefficient. The bracket is the
-    same for every second solution G_k + c z^(k+rho) F_k. Symmetric in
-    (ax, R); arguments are ordered internally. An integer array k gives the
-    array of coefficients.
+    overflows, on the radial records (_green_terms). The bracket is the same
+    for every second solution G_k + c z^(k+rho) F_k. Symmetric in (ax, R);
+    arguments are ordered internally. An integer array k gives the array of
+    coefficients. green_function sums the image half alone.
     """
     k = _as_order(k)
-    r, dim, rho = D.r, D.dim, D.dim.rho
-    if not (0 <= ax < r and 0 < R < r):
+    if not (0 <= ax < D.r and 0 < R < D.r):
         raise ValueError("needs 0 <= ax < r and 0 < R < r")
-    if ax > R:
-        ax, R = R, ax
-    free = (
-        _green_prefactor(dim) * rho / (k + rho) * F_k(dim, k, ax**2)
-        * _powers(ax / R, k) * G_k(dim, k, R**2) / R ** (2 * rho)
-    )
-    return free - _image_coefficient(D, k, ax, R)
+    return _at_orders(D, _green_terms, k, (min(ax, R), max(ax, R)))
+
+
+def _green_terms(D, ks, lo, hi, b, x, y):
+    """green_coefficient at the orders ks of the records b of r^2, x of lo^2
+    and y of hi^2, lo <= hi: the free half, then _image_terms."""
+    rho = D.dim.rho
+    free = (_green_prefactor(D.dim) * rho / (ks + rho) * x.f
+            * _powers(lo / hi, ks) * y.g / hi ** (2 * rho))
+    return free - _image_terms(D, ks, lo, hi, b, x, y)
 
 
 @functools.lru_cache(maxsize=64)
 def _image_table(D, ax, ay, ctl):
-    """Terms (k+rho)/rho * _image_coefficient(k, ax, ay) up to truncation;
+    """Terms (k+rho)/rho * _image_terms(k, ax, ay) up to truncation;
     their step ratio bound has base s = ax ay / r^2 < 1 and tends to it."""
     return _series_table("green", D, _image_terms, (ax, ay), ax * ay / D.r**2, 1.0, ctl)
 
@@ -261,43 +257,30 @@ def green_function(D, x, y, ctl=SeriesControl()):
     function minus its Kelvin image,
 
         C_n G_0(z) / z^rho
-            - sum_k (k+rho)/rho * _image_coefficient(k, |x|, |y|) * C_k(cos theta),
+            - sum_k (k+rho)/rho * _image_terms(k, |x|, |y|) * C_k(cos theta),
 
     z = |x-y|^2 / (1 - 2 x.y + |x|^2 |y|^2) = tanh^2 d(x, y). The image
     series has ratio |x||y|/r^2 < 1 for every pair, |x| = |y| included; a
-    tail bound not met within k_max terms raises SeriesTruncationError.
-    x = 0 (or y = 0) reduces to the k = 0 coefficient by rotational symmetry.
+    tail bound not met within k_max terms raises SeriesTruncationError. At
+    x = 0 or y = 0 the ratio is 0 and the image table is its k = 0 term.
     y is a Point (returns a float) or an (m, n) array of points (returns
     shape (m,)), with one image table per distinct |y| summed by
     gegenbauer_series and one _g0_values call for G_0 of all the rows, each
     with a Point call's bits.
     """
     single, ax, nys, xy, d2 = ball_rows(D, x, y)
-    # Python floats from here on: float ** is what a Point call takes
-    ays, d2s = nys.tolist(), d2.tolist()
-    dim, rho, pref = D.dim, D.dim.rho, _green_prefactor(D.dim)
-    rows_at, values = {}, [None] * len(ays)
-    for i, ay in enumerate(ays):
-        rows_at.setdefault(ay, []).append(i)
-    rows, zs, images = [], [], []  # of the rows off the origin
-    for ay, idx in rows_at.items():
-        lo, hi = min(ax, ay), max(ax, ay)
-        if lo == 0.0:
-            g = green_coefficient(D, 0, lo, hi)
-            for i in idx:
-                values[i] = g
-            continue
-        b = _image_table(D, lo, hi, ctl)
-        at = slice(None) if single else idx
-        image = gegenbauer_series(rho, b, _cosines(xy[at], ax, nys[at], single))
-        # 1 - 2 x.y + |x|^2 |y|^2 = (1 - |x|^2)(1 - |y|^2) + |x - y|^2
-        q = (1 - ax**2) * (1 - ay**2)
-        zs += [d2s[i] / (q + d2s[i]) for i in idx]
-        images += [image] if single else image.tolist()
-        rows += idx
-    for i, z, s, g0 in zip(rows, zs, images, _g0_values(dim, zs)):
-        values[i] = pref * g0 / z**rho - s
-    return values[0] if single else np.array(values)
+    ays, rho, wx = nys.tolist(), D.dim.rho, 1 - ax**2
+    # Python floats for z and z^rho: float ** is what a Point call takes;
+    # 1 - 2 x.y + |x|^2 |y|^2 = (1 - |x|^2)(1 - |y|^2) + |x - y|^2
+    zs = [d / (wx * (1 - ay**2) + d) for ay, d in zip(ays, d2.tolist())]
+    images = np.empty(len(ays))
+    for ay in dict.fromkeys(ays):
+        at = slice(None) if single else nys == ay
+        b = _image_table(D, min(ax, ay), max(ax, ay), ctl)
+        images[at] = gegenbauer_series(rho, b, _cosines(xy[at], ax, nys[at], single))
+    pref = _green_prefactor(D.dim)
+    values = [pref * g0 / z**rho for z, g0 in zip(zs, _g0_values(D.dim, zs))] - images
+    return float(values[0]) if single else values
 
 
 def poisson_from_green_derivative(D, x, u, h, ctl=SeriesControl()):

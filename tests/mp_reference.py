@@ -1,6 +1,7 @@
 """High-precision mpmath references built from the definitions: the radial
 solutions F_k and G_k, the Green function of the ball as the
-whole-space Green function minus its Kelvin-image series, the inverse
+whole-space Green function minus its Kelvin-image series (and its radial
+form at the center), the inverse
 Laplace weight w(v) of the n = 4 and 6 closed forms, and Gegenbauer sums
 over float coefficients. Helpers for the test modules; pytest collects no
 tests here."""
@@ -90,6 +91,18 @@ def green(n, r, x, y, dps=30):
             k += 1
         cn = mp.gamma(half - 1) / (4 * mp.pi**half)
         return float(cn * (g_value(n, 0, z) / z**rho - mp.fsum(image)))
+
+
+def green_at_center(n, r, y, dps=40):
+    """Green function of the ball |x| < r between the center and the
+    coordinate sequence y: the image series is its k = 0 term (F_0 = 1), so
+
+        C_n [G_0(|y|^2) / |y|^(2 rho) - G_0(r^2) / r^(2 rho)]."""
+    with mp.workdps(dps):
+        rho, half = mp.mpf(n - 2) / 2, mp.mpf(n) / 2
+        y2, r2 = mp.fsum(mp.mpf(v) ** 2 for v in y), mp.mpf(r) ** 2
+        cn = mp.gamma(half - 1) / (4 * mp.pi**half)
+        return float(cn * (g_value(n, 0, y2) / y2**rho - g_value(n, 0, r2) / r2**rho))
 
 
 def gegenbauer_sum(rho, a, x, dps=40):

@@ -106,19 +106,35 @@ def test_distance_additive_along_ray():
     )
 
 
-def test_cos_angle():
-    def cosine(x, y):
-        single, ax, nys, xy, _ = ball_rows(BallDomain(Dimension(3), 0.6), x, y)
-        return _cosines(xy, ax, nys, single)
-
-    x = Point([0.5, 0.0, 0.0])
-    assert cosine(x, Point([0.0, 0.25, 0.0])) == 0.0
-    assert cosine(x, Point([0.25, 0.0, 0.0])) == 1.0
-    assert cosine(x, Point([-0.1, 0.0, 0.0])) == -1.0
+def cosine(x, y, n=3):
+    single, ax, nys, xy, _ = ball_rows(BallDomain(Dimension(n), 0.9), x, y)
+    return _cosines(xy, ax, nys, single)
 
 
 def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_cos_angle():
+    x = Point([0.5, 0.0, 0.0])
+    assert cosine(x, Point([0.0, 0.25, 0.0])) == 0.0
+    assert cosine(x, Point([0.25, 0.0, 0.0])) == 1.0
+    assert cosine(x, Point([-0.1, 0.0, 0.0])) == -1.0
+    # a zero norm gives 0.0, with no warning (warnings are errors here)
+    center, ys = Point(np.zeros(3)), np.array([[0.25, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for value in (cosine(center, x), cosine(x, Point(ys[1]))):
+        assert type(value) is float and value == 0.0
+    assert same_bits(cosine(center, ys[:1]), [0.0])
+    assert same_bits(cosine(x, ys), [1.0, 0.0])
+    # an array of rows gives each row the bits of its one-Point cosine,
+    # which is taken on Python floats
+    rng = np.random.default_rng(11)
+    for n in range(3, 9):
+        ys = rng.uniform(-0.3, 0.3, (64, n))
+        x = Point(rng.uniform(-0.3, 0.3, n))
+        rows = [cosine(x, Point(row), n) for row in ys]
+        assert all(type(c) is float for c in rows)
+        assert same_bits(cosine(x, ys, n), rows), n
 
 
 def test_vecdot_matches_row_dots():

@@ -15,8 +15,9 @@ from hypball.geometry import BallDomain, Point, sphere_area
 from hypball.kernels import (
     SeriesControl,
     SeriesTruncationError,
-    _image_coefficient,
+    _at_orders,
     _image_table,
+    _image_terms,
     _poisson_table,
     green_coefficient,
     green_function,
@@ -89,6 +90,32 @@ def test_traced_names_do_not_rebuild_boundary_records(monkeypatch):
     assert kernels._radial.cache_info().misses - misses == len(seen)
 
 
+def test_repeated_green_coefficient_reads_its_records(monkeypatch):
+    # green_coefficient reads F_k and G_k from the radial records alone: a
+    # cold call reaches the traced F_k once per record miss and G_k once per
+    # record whose G_k it reads (r^2 and R^2), and a second call neither
+    D = ball(5, 0.95)
+    seen = {"F_k": [], "G_k": []}
+    for name in seen:
+
+        def wrapper(dim, k, z, fn=getattr(kernels, name), calls=seen[name]):
+            calls.append(z)
+            return fn(dim, k, z)
+
+        monkeypatch.setattr(kernels, name, wrapper)
+    clear_kernel_caches()
+    for k in (3, np.arange(40)):
+        first = green_coefficient(D, k, 0.3, 0.7)
+        misses = kernels._radial.cache_info().misses
+        assert len(seen["F_k"]) == misses and sorted(seen["G_k"]) == [0.7**2, 0.95**2]
+        for calls in seen.values():
+            calls.clear()
+        assert np.array_equal(green_coefficient(D, k, 0.3, 0.7), first)
+        assert seen == {"F_k": [], "G_k": []}
+        assert kernels._radial.cache_info().misses == misses
+        clear_kernel_caches()
+
+
 def test_order_arrays_match_scalar_calls():
     # any int array of orders reads the record of min(k)..max(k): unsorted,
     # repeated, gapped (across the odd-n blocks of F_k) and empty arrays give
@@ -98,7 +125,7 @@ def test_order_arrays_match_scalar_calls():
         coefficients = [
             lambda k: poisson_coefficient(D, k, 0.5),
             lambda k: green_coefficient(D, k, 0.3, 0.7),
-            lambda k: _image_coefficient(D, k, 0.3, 0.7),
+            lambda k: _at_orders(D, _image_terms, k, (0.3, 0.7)),
         ]
         for coefficient in coefficients:
             for ks in ([7, 2, 5], [3, 3, 0, 3], [0, 64, 200, 1500], []):
@@ -125,7 +152,7 @@ def test_table_blocks_equal_the_per_order_coefficients(n, r, q, f):
     poisson, image = _poisson_table(D, ax, ctl), _image_table(D, ay, ax, ctl)
     for table, coefficient in (
         (poisson, lambda ks: poisson_coefficient(D, ks, ax)),
-        (image, lambda ks: _image_coefficient(D, ks, ay, ax)),
+        (image, lambda ks: _at_orders(D, _image_terms, ks, (ay, ax))),
     ):
         ks = np.arange(len(table))
         assert table.tobytes() == ((ks + rho) / rho * coefficient(ks)).tobytes()
@@ -286,6 +313,20 @@ def test_green_at_center_reduces_to_radial_term():
     assert near == pytest.approx(g0, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_green_at_center_matches_mpmath(n):
+    # at the center the image table is its k = 0 term: with the center as x
+    # and as y, the value is within 1e-12 of the 40-digit radial reference
+    origin = Point(np.zeros(n))
+    for r in (0.3, 0.6, 0.95):
+        D = ball(n, r)
+        for f in (0.05, 0.7, 0.999):
+            y = on_sphere(f * r, 1.0, n)
+            ref = mp_reference.green_at_center(n, r, y.coords)
+            for value in (green_function(D, origin, y), green_function(D, y, origin)):
+                assert abs(value - ref) <= 1e-12 * abs(ref), (r, f)
+
+
 def test_green_validation():
     D = ball(4)
     x = Point([0.3, 0, 0, 0])
@@ -392,7 +433,7 @@ def test_tables_match_scalar_coefficients(n, r, ax, ay):
         a, [(k + rho) / rho * poisson_coefficient(D, k, ax) for k in range(len(a))]
     )
     assert np.array_equal(
-        b, [(k + rho) / rho * _image_coefficient(D, k, ay, ax) for k in range(len(b))]
+        b, [(k + rho) / rho * _at_orders(D, _image_terms, k, (ay, ax)) for k in range(len(b))]
     )
 
 
@@ -420,7 +461,7 @@ def test_tables_stop_where_the_majorant_tail_meets_tol(n):
             for ay in (ax, 0.5 * ax):
                 b = _image_table(D, ay, ax, ctl)
                 tail = majorant_tail(
-                    D, lambda ks: (ks + rho) / rho * _image_coefficient(D, ks, ay, ax), b
+                    D, lambda ks: (ks + rho) / rho * _at_orders(D, _image_terms, ks, (ay, ax)), b
                 )
                 assert tail <= ctl.tol
 
