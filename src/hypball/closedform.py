@@ -71,7 +71,7 @@ def _integrate_decaying(f, beta, ctl):
 
     lo, hi = np.array([0.0]), np.array([1.0])
     val, err = rules(lo, hi)
-    step = max(1, _CHUNK_VALUES // (nodes.size * val.shape[1]))  # panels per call
+    step = max(1, _CHUNK_VALUES // (nodes.size * max(val.shape[1], 1)))  # panels per call
     while True:
         total, est = val.sum(axis=0), err.sum(axis=0)
         unmet = ~(est <= np.maximum(ctl.abs_tol, 1e-12 * np.abs(total)))
@@ -211,11 +211,11 @@ class LaplaceWeight:
 
 
 class WeightSum(tuple):
-    """w(v) as the sum of a tuple of LaplaceWeight groups (n >= 8), decaying
-    at the slowest group's rate; the regime joins the groups' with '+'."""
+    """w(v) as the sum of a tuple of LaplaceWeight groups (one at n = 4, 6),
+    decaying at the slowest group's rate; the regime joins them with '+'."""
 
     def __call__(self, v):
-        return sum(g(v) for g in self)
+        return sum((g(v) for g in self[1:]), self[0](v))
 
     decay_rate = property(lambda self: min(g.decay_rate for g in self))
     regime = property(lambda self: "+".join(g.regime for g in self))
@@ -236,8 +236,8 @@ def laplace_weight(dim, x2, r2):
     P_{r2} and R_j = (p_j+rho)/rho P_{x2}(p_j)/P_{r2}'(p_j) (1-r^2)^(n-2)/(r^2-x^2)
     the residues of H (transforming back gives H, a tested identity). The
     roots form conjugate pairs, real pairs of neighbours and at most one lone
-    real pole, one LaplaceWeight each: n=4 returns its lone pole, n=6 its
-    pair, larger n a WeightSum. A pair -b +- c takes c2 = -P_{r2}(-b)/(a_rho
+    real pole, one LaplaceWeight each, in one WeightSum: n=4 has its lone pole,
+    n=6 its pair, larger n more. A pair -b +- c takes c2 = -P_{r2}(-b)/(a_rho
     prod_others (-b - p)) with P_{r2}(-b) exact (its roundoff reaches w through
     v^2 c2 near a double root) and its amplitudes from the residue numerator
     modulo (k+b)^2 - c2, so nothing is divided by c. Cached and shared per
@@ -271,7 +271,7 @@ def laplace_weight(dim, x2, r2):
         det = g0 * (g0 - 2 * b * g1) + e * g1 * g1
         a1, a0 = _mod_quadratic(np.convolve(numer, [-g1, g0 - 2 * b * g1]), b, e)
         groups.append(LaplaceWeight(b, c2, a1 / det, (a0 - b * a1) / det))
-    return groups[0] if len(groups) == 1 else WeightSum(groups)
+    return WeightSum(groups)
 
 
 def poisson_integral(D, x, y, qctl=QuadratureControl()):
@@ -301,8 +301,7 @@ def poisson_integral(D, x, y, qctl=QuadratureControl()):
     # with e = e^{-v}, g = e h = (r^2 - |x|^2 e)(1 - e) and a = e A =
     # |x e^{-v} - y|^2, L = e^{(rho+1)v} g^2 sum_(m<rho) (m+1) a^m (e d^2)^(rho-1-m);
     # that growth goes into the weight's rates, so nothing overflows
-    groups = w if isinstance(w, WeightSum) else [w]
-    w_net = WeightSum(replace(g, b=g.b - rho - 1) for g in groups)
+    w_net = WeightSum(replace(g, b=g.b - rho - 1) for g in w)
 
     def integrand(v):
         e = np.exp(-v)[:, None]
@@ -377,9 +376,9 @@ def _green6_weight(x2, y2, r2):
 
         W(v) = f1 e^{-bv} cosh(cv) + f2 e^{-bv} sinh(cv)/(2 (1-r^2) c),
 
-    the LaplaceWeight with the b and c2 of laplace_weight at this r^2 and
-    amp1 = f1, amp2 = f2/(2 (1-r^2)), so one evaluator serves real,
-    zero and imaginary c."""
+    the one LaplaceWeight group of laplace_weight at this r^2 with amp1 =
+    f1 and amp2 = f2/(2 (1-r^2)), so one evaluator serves real, zero and
+    imaginary c."""
     f1 = (
         r2 * (1 + r2) / (1 - r2) * (1 - x2) * (1 - y2)
         + 2 * (1 - x2 * y2)
@@ -409,7 +408,7 @@ def green_closed_n6(D, x, y, qctl=QuadratureControl()):
     """
     single, x2, y2, xy, d2, r2, k0 = _green_args(D, 6, x, y)
     f1, f2 = _green6_weight(x2, y2, r2)
-    W = replace(laplace_weight(D.dim, 0.0, r2), amp1=f1, amp2=f2 / (2 * (1 - r2)))
+    W = replace(laplace_weight(D.dim, 0.0, r2)[0], amp1=f1, amp2=f2 / (2 * (1 - r2)))
     integral = _integrate_decaying(
         lambda v: W(v[:, None]) / _kelvin_quadratic(x2, y2, xy, r2, v) ** 2,
         W.decay_rate,

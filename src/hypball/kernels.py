@@ -47,6 +47,9 @@ class SeriesControl:
     tol: float = 1e-10
 
     def __post_init__(self):
+        if not isinstance(self.k_max, (int, np.integer)) or isinstance(self.k_max, bool):
+            raise ValueError("k_max must be an int")
+        object.__setattr__(self, "k_max", int(self.k_max))
         if not self.k_max >= _MIN_TERMS:
             raise ValueError(f"need k_max >= {_MIN_TERMS}")
         if not 0 < self.tol < math.inf:

@@ -58,17 +58,16 @@ def _as_order(k):
     return ka.astype(int) if ka.ndim else int(ka)
 
 
-def _f_pair(dim, k, z):
-    """(F_k(z), F_k'(z)) as Python floats, from the radial layer itself: for
-    even n, F_k' = -k rho/(k+n/2) F(k+1, 1-rho; k+1+n/2; z) (DLMF 15.5.1),
+def _f_derivative(dim, k, z):
+    """F_k'(z) at the orders of the int array k, from the radial layer itself:
+    for even n, F_k' = -k rho/(k+n/2) F(k+1, 1-rho; k+1+n/2; z) (DLMF 15.5.1),
     another terminating sweep; for odd n, the contiguous relation
-    (1-z) F_k' = k F_k - k(k+n-1)/(k+n/2) F_(k+1) on one array F_k call."""
+    (1-z) F_k' = k F_k - k(k+n-1)/(k+n/2) F_(k+1) on two array F_k calls."""
     half = dim.n / 2
     if dim.is_even:
-        f1 = _hyp_sweep(k + 1, 1 - dim.rho, k + 1 + half, z)
-        return F_k(dim, k, z), float(-k * dim.rho / (k + half) * f1)
-    f, f_next = F_k(dim, np.array([k, k + 1]), z).tolist()
-    return f, (k * f - k * (k + dim.n - 1) / (k + half) * f_next) / (1 - z)
+        return -k * dim.rho / (k + half) * _hyp_sweep(k + 1, 1 - dim.rho, k + 1 + half, z)
+    f, f_next = F_k(dim, k, z), F_k(dim, k + 1, z)
+    return (k * f - k * (k + dim.n - 1) / (k + half) * f_next) / (1 - z)
 
 
 def _block_end(k):
@@ -196,26 +195,18 @@ def _g0_values(dim, zs):
             for z in zs]
 
 
-def _g0_pair(dim, z):
-    """(G_0(z), G_0'(z)): the value from _g0_values, the derivative of its
-    form on z's side of the split, term by term."""
+def _g0_derivative(dim, z):
+    """G_0'(z): the derivative of _g0_values' form on z's side of the split,
+    term by term."""
     n, rho = dim.n, dim.rho
-    (val,) = _g0_values(dim, [z])
     if z >= _G0_SPLIT:
         (w,), (size,), (t,) = _g0_series_terms(n, [z])
         h, wdh = t[:size].sum(), t[1:size] @ np.arange(1, size)
-        return val, float(-rho / (n - 1) * w ** (n - 2) * ((n - 1) * h + wdh))
+        return float(-rho / (n - 1) * w ** (n - 2) * ((n - 1) * h + wdh))
     coeffs, amp = _g0_terms(n)
     lz, dlz = (math.log(z), 1 / z) if dim.is_even else (1.0, 0.0)
     dval = sum(i * c * z ** (i - 1) for i, c in coeffs.items() if i > 0)
-    dval += amp * (rho * z ** (rho - 1) * lz + z**rho * dlz)
-    return val, dval
-
-
-def _g_weights(n, m):
-    """p_i = (n/2)_i / (n)_i for i = 0 .. m-1."""
-    i = np.arange(m - 1)
-    return np.cumprod(np.concatenate(([1.0], (n / 2 + i) / (n + i))))[:m]
+    return dval + amp * (rho * z ** (rho - 1) * lz + z**rho * dlz)
 
 
 def _bernstein_means(c, z):
@@ -229,17 +220,17 @@ def _bernstein_means(c, z):
     return out
 
 
-def _g_pair(dim, k, z):
-    """(G_k(z), G_k'(z)); for k >= 1 the derivative of the Bernstein mean S
-    of G_k's sum is (k-1) times the mean of p_i - p_(i+1) = p_i (n/2)/(n+i)."""
-    if k == 0:
-        return _g0_pair(dim, z)
-    n, w = dim.n, 1 - z
-    p = _g_weights(n, k)
-    s = float(_bernstein_means(p, z)[-1] / p[-1])
-    dp = p[:-1] * (n / 2) / (n + np.arange(k - 1))
-    ds = (k - 1) * float(_bernstein_means(dp, z)[-1] / p[-1]) if k > 1 else 0.0
-    return w ** (n - 1) * s, w ** (n - 2) * (w * ds - (n - 1) * s)
+def _g_derivative(dim, k, z, g):
+    """G_k'(z) at the orders of the int array k, g = [G_0(z), .., G_K(z)], K >=
+    max k: (1-z) G_k' = (k-1)(n+k-2)/(n/2+k-2) G_(k-1) - (n+k-2) G_k for k >= 1,
+    from w S_m' = m (S_m - S_(m-1)), S_m = F(-m, n/2; n; w) (DLMF 15.5), on
+    G_k's Bernstein form. G_0' is from G_0's own form (_g0_derivative), as
+    the k = 0 Wronskian identity is G_0's ODE and would check nothing."""
+    n, up = dim.n, k >= 1
+    j = k[up]  # n/2+k-2 is 0 at n = 4, k = 0
+    out = np.full(k.shape, _g0_derivative(dim, z))
+    out[up] = ((j - 1) * (n + j - 2) / (n / 2 + j - 2) * g[j - 1] - (n + j - 2) * g[j]) / (1 - z)
+    return out
 
 
 def G_k(dim, k, z):
@@ -257,7 +248,9 @@ def G_k(dim, k, z):
     k = _as_order(k)
     if not 0 < z < 1:
         raise ValueError("G_k needs z in (0, 1)")
-    p = _g_weights(dim.n, int(np.max(k, initial=0)))
+    m = int(np.max(k, initial=0))
+    i = np.arange(m - 1)
+    p = np.cumprod(np.concatenate(([1.0], (dim.n / 2 + i) / (dim.n + i))))[:m]  # p_0 .. p_(m-1)
     positive = (1 - z) ** (dim.n - 1) * _bernstein_means(p, z) / p
     g = np.concatenate((_g0_values(dim, [z]), positive))
     return g[k] if np.ndim(k) else float(g[k])
@@ -331,15 +324,18 @@ def gegenbauer_at_one(v, k):
 def wronskian_residual(dim, k, z):
     """Residual of the cross-solution identity
 
-        (k+rho) F_k G_k + z F_k' G_k - z F_k G_k' = (k+rho)(1-z)^(n-2),
+        (k+rho) F_k G_k + z F_k' G_k - z F_k G_k' = (k+rho)(1-z)^(n-2)
 
-    with F_k' from _f_pair (a second terminating sweep for even n, F_k and
-    F_(k+1) for odd n) and G_k' from _g_pair; should vanish to roundoff for
-    all admissible (n, k, z). k is a non-negative integer."""
+    on one F_k and one G_k array, F_k' from _f_derivative and G_k' from
+    _g_derivative; should vanish to roundoff for all admissible (n, k, z). k
+    is a non-negative integer, or an integer array (each entry a scalar
+    call's bits)."""
     k = _as_order(k)
     if not 0 < z < 1:
         raise ValueError("needs z in (0, 1)")
-    f, df = _f_pair(dim, k, z)
-    g, dg = _g_pair(dim, k, z)
-    lhs = (k + dim.rho) * f * g + z * df * g - z * f * dg
-    return lhs - (k + dim.rho) * (1 - z) ** (dim.n - 2)
+    ks = np.atleast_1d(k)
+    g = G_k(dim, np.arange(ks.max(initial=0) + 1), z)
+    f, gk, rk = F_k(dim, ks, z), g[ks], ks + dim.rho
+    out = rk * f * gk + z * _f_derivative(dim, ks, z) * gk - z * f * _g_derivative(dim, ks, z, g)
+    out -= rk * (1 - z) ** (dim.n - 2)
+    return out if np.ndim(k) else float(out[0])

@@ -292,7 +292,7 @@ def test_accept_07_conjecture_probes():
     # n=6: the quadratic roots -b +- c (real below the critical radius,
     # conjugate pair -b +- i c~ above)
     for r2 in (0.04, 0.36):
-        w = laplace_weight(Dimension(6), 0.0, r2)
+        (w,) = laplace_weight(Dimension(6), 0.0, r2)
         b, c = w.b, abs(w.c)
         if w.regime == "cosh-sinh":
             rect = (-b - c - 0.5, -b + c + 0.5, -1.0, 1.0)

@@ -228,6 +228,8 @@ _ROW_DIGESTS = {
     ("green-closed", "--n", "6", "--theta-grid", "256"): "45a7563c4bb77e66",
     ("coeffs", "--kmax", "40"): "1c8d464955c35330",
     ("identity-check", "--suite", "normalization", "--n", "5"): "66498bb057aef058",
+    # one F_k and one G_k array per (n, z), G_k' by the contiguous relation
+    ("identity-check", "--suite", "wronskian", "--n", "3..8"): "cc4ba0de8cb7c69b",
 }
 
 

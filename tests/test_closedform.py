@@ -222,7 +222,7 @@ def test_weight_is_cached_and_shared_unchanged():
     w6 = laplace_weight(D6.dim, 0.0, D6.r**2)
     w8 = laplace_weight(D8.dim, x8.norm**2, D8.r**2)
     assert laplace_weight(Dimension(6), 0.0, D6.r**2) is w6
-    before = [(g.b, g.c2, g.amp1, g.amp2) for g in (w6, *w8)]
+    before = [(g.b, g.c2, g.amp1, g.amp2) for g in (*w6, *w8)]
     x = Point([0.2] + [0.0] * 5)
     ys = np.array([[0.0, 0.3, 0, 0, 0, 0], [-0.1, 0.1, 0, 0, 0, 0]])
     green_closed_n6(D6, x, ys)
@@ -230,7 +230,7 @@ def test_weight_is_cached_and_shared_unchanged():
     poisson_integral(D8, x8, on_sphere(0.6, 1.0, 8))
     assert laplace_weight(D6.dim, 0.0, D6.r**2) is w6
     assert laplace_weight(D8.dim, x8.norm**2, D8.r**2) is w8
-    assert [(g.b, g.c2, g.amp1, g.amp2) for g in (w6, *w8)] == before
+    assert [(g.b, g.c2, g.amp1, g.amp2) for g in (*w6, *w8)] == before
     for args in ((Dimension(5), 0.0, 0.36), (Dimension(6), 0.36, 0.36),
                  (Dimension(6), 0.4, 0.36)):
         for _ in range(2):
@@ -255,6 +255,19 @@ def test_poisson_integral_validation():
     D = ball(4)
     with pytest.raises(ValueError):
         poisson_integral(D, Point([0.3, 0, 0, 0]), Point([0.3, 0, 0, 0]))
+
+
+@pytest.mark.parametrize(
+    "evaluator, n",
+    [(poisson_kernel, 5), (green_function, 5), (poisson_integral, 6),
+     (green_closed_n4, 4), (green_closed_n6, 6)],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_empty_row_array_gives_empty_values(evaluator, n):
+    # no rows, no values: the closed forms' quadrature has no columns to
+    # size its panel chunks by
+    out = evaluator(ball(n), Point([0.2] + [0.0] * (n - 1)), np.zeros((0, n)))
+    assert type(out) is np.ndarray and out.dtype == float and out.shape == (0,)
 
 
 def test_green_closed_n4_matches_series():

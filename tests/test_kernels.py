@@ -191,9 +191,12 @@ def test_vanishing_boundary_values_raise(monkeypatch):
 
 
 def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(k_max=5)
+    for k_max in (5, 20.5, True, "40"):
+        with pytest.raises(ValueError):
+            SeriesControl(k_max=k_max)
     SeriesControl(k_max=10)
+    ctl = SeriesControl(k_max=np.int64(40))
+    assert type(ctl.k_max) is int and ctl == SeriesControl(k_max=40)
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             SeriesControl(tol=tol)

@@ -17,8 +17,8 @@ from hypball.specfun import (
     G_k,
     _as_order,
     _block_end,
-    _f_pair,
-    _g0_pair,
+    _f_derivative,
+    _g_derivative,
     _g0_terms,
     _g0_values,
     gegenbauer_at_one,
@@ -137,7 +137,7 @@ def test_g0_values_match_one_z_at_a_time(n):
     zs = _G0_ZS + _G0_ZS[::-1]  # both sides of the split, interleaved
     expected = [_g0_one_at_a_time(dim, z) for z in zs]
     assert np.array(_g0_values(dim, zs)).tobytes() == np.array(expected).tobytes()
-    assert [_g0_pair(dim, z)[0] for z in zs] == expected
+    assert [_g0_values(dim, [z])[0] for z in zs] == expected
     assert [G_k(dim, 0, z) for z in zs] == expected
     assert _g0_values(dim, []) == []
     # more rows above the split than one block of the term array holds
@@ -151,7 +151,35 @@ def test_g0_values_match_one_z_at_a_time(n):
 def test_g0_values_bits_do_not_depend_on_the_batch(n, zs):
     dim = Dimension(n)
     values = np.array(_g0_values(dim, zs))
-    assert values.tobytes() == np.array([_g0_pair(dim, z)[0] for z in zs]).tobytes()
+    assert values.tobytes() == np.array([_g0_values(dim, [z])[0] for z in zs]).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_wronskian_rows_match_scalar_calls(n):
+    # one F_k and one G_k array per (n, z): each entry has the bits of its
+    # scalar call, across block edges and in any order of the orders
+    dim = Dimension(n)
+    ks = np.array([64, 0, 1, 2, 63, 30, 191, 192, 5, 0])
+    for z in (0.05, 0.37, 0.95, 0.995):
+        rows = wronskian_residual(dim, ks, z)
+        assert rows.tobytes() == np.array([wronskian_residual(dim, k, z)
+                                           for k in ks.tolist()]).tobytes()
+        assert type(wronskian_residual(dim, 3, z)) is float
+        assert wronskian_residual(dim, np.array([], dtype=int), z).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_g_derivative_against_mpmath(n):
+    # G_k' from the contiguous relation on G_(k-1) and G_k, against the
+    # 40-digit derivative of the definition; G_0' from G_0's own form
+    dim = Dimension(n)
+    ks = np.array([0, 1, 2, 30, 200, 2000])
+    with mp.workdps(40):
+        for z in (0.05, 0.5, 0.9, 0.995):
+            dg = _g_derivative(dim, ks, z, G_k(dim, np.arange(2001), z))
+            for k, d in zip(ks.tolist(), dg.tolist()):
+                ref = mp.diff(lambda t: mp_reference.g_value(n, k, t), mp.mpf(z))
+                assert abs((d - ref) / ref) < 1e-11
 
 
 def test_wronskian_residual_rejects_non_integer_order():
@@ -206,11 +234,10 @@ def test_f_derivative_against_mpmath(n):
     # F_k and F_(k+1) through the contiguous relation for odd n; large k and
     # z -> 1 included
     dim = Dimension(n)
+    ks = [1, 2, 17, 30, 64, 200, 1000, 2000]
     with mp.workdps(40):
-        for k in (1, 2, 17, 30, 64, 200, 1000, 2000):
-            for z in (0.05, 0.5, 0.9, 0.98, 0.995):
-                f, df = _f_pair(dim, k, z)
-                assert type(f) is float and type(df) is float
+        for z in (0.05, 0.5, 0.9, 0.98, 0.995):
+            for k, df in zip(ks, _f_derivative(dim, np.array(ks), z).tolist()):
                 ref = mp_reference.f_derivative(n, k, z)
                 assert abs((df - ref) / ref) < 1e-11
 
