@@ -14,8 +14,10 @@ clock."""
 import argparse
 import functools
 import json
+import locale
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, fields, replace
 from itertools import chain
@@ -412,6 +414,31 @@ def _config_echo(cfg):
     return " ".join(f"{f.name}={_fmt(getattr(cfg, f.name))}" for f in fields(cfg))
 
 
+def _write_text(path, text):
+    """Write text to path in the bytes of open(path, "w", newline="\n"), the
+    locale encoding, but without truncating an existing file to zero first:
+    the file is rewritten in place and a regular file is then cut to the
+    written length (a pipe or device such as /dev/stdout is only written).
+    On a failure after the open a regular file is truncated to 0, so no old
+    bytes survive behind new ones, and the error propagates."""
+    data = text.encode(locale.getpreferredencoding(False))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            rest = memoryview(data)
+            while rest:  # os.write may write less than asked
+                rest = rest[os.write(fd, rest) :]
+            if regular:
+                os.ftruncate(fd, len(data))
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
+
+
 def _write_csv(path, cfg, columns, rows, meta):
     lines = [f"# hypball {__version__}", f"# {_config_echo(cfg)}"]
     lines += [f"# {key}={_fmt(meta[key])}" for key in sorted(meta)]
@@ -424,8 +451,7 @@ def _write_csv(path, cfg, columns, rows, meta):
         specs.append("%.17g" if floats else "%s")
         cells.append(col if floats else map(_fmt, col))
     template = (",".join(specs) + "\n") * len(rows)
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n" + template % tuple(chain.from_iterable(zip(*cells))))
+    _write_text(path, "\n".join(lines) + "\n" + template % tuple(chain.from_iterable(zip(*cells))))
 
 
 def _json_rows(columns, rows):
@@ -456,8 +482,7 @@ def _write_json(path, cfg, columns, rows, meta):
     # from the C encoder: the pure-Python indent encoder is slow per cell
     head = json.dumps({"meta": meta}, indent=2)[: -len("\n}")]
     rows = _json_rows(columns, rows)
-    with open(path, "w", newline="\n") as f:
-        f.write(f'{head},\n  "rows": {rows}\n}}\n')
+    _write_text(path, f'{head},\n  "rows": {rows}\n}}\n')
 
 
 # flag and config-file spellings that are not the field name

@@ -345,14 +345,19 @@ def _mean_crossing_fraction(delta0, delta1):
         E[u] = delta0 sqrt(2/pi)
                int_0^{pi/2} exp(-(delta0 tan t - delta1 cot t)^2 / 2) dt,
 
-    which a fixed Gauss-Legendre rule integrates to float accuracy."""
+    which a fixed Gauss-Legendre rule integrates to float accuracy. At
+    arguments of at most -746 the exponential is 0.0 without calling exp:
+    its value there is exactly 0.0, but NumPy's exp leaves its fast path
+    (13 % of the arguments of a gauge run). A NaN argument still goes
+    through exp, so it is not hidden as 0."""
     tan, cot, wts = _crossing_rule()
     g = np.multiply.outer(delta0, tan)
     h = np.multiply.outer(delta1, cot)
     g -= h
     np.multiply(-0.5, g, out=h)
     h *= g
-    est = delta0 * math.sqrt(2.0 / math.pi) * (np.exp(h, out=h) @ wts)
+    e = np.exp(h, out=np.zeros_like(h), where=~(h <= -746.0))
+    est = delta0 * math.sqrt(2.0 / math.pi) * (e @ wts)
     return np.clip(est, 0.0, 1.0)
 
 

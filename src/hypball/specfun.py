@@ -8,6 +8,7 @@ comes from a backward recurrence in k, and odd-n F_k' from F_k and F_(k+1)."""
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -79,20 +80,38 @@ def _block_end(k):
     return 64 * (2 ** np.frexp(k // 64 + 1)[1] - 1) - 1
 
 
+# orders per chunk of the odd-n recurrence's a_k
+_CHUNK = 4096
+
+
+@functools.lru_cache(maxsize=4)
+def _a_chunk(n, j):
+    """The recurrence's a_k for the orders of chunk j, 4096j+1 .. 4096(j+1),
+    highest first, as a tuple shared by every z. The chunks are aligned to
+    multiples of 4096 so that the fresh z of cold tables reuse them (below
+    z = 0.98 a block up to 1983 starts in chunk 0). At most 4 chunks are
+    kept, 131 KB each (4096 Python floats), so about 0.5 MB in all."""
+    ks = np.arange(_CHUNK * j + 1, _CHUNK * (j + 1) + 1)
+    a = ks * (ks + n - 1) / ((ks + n / 2 - 1) * (ks + n / 2))
+    return tuple(a[::-1].tolist())
+
+
 def _f_recurrence(dim, top, z):
     """[F_0(z), ..., F_top(z)] for odd n and 0 < z < 1; see F_k. The orders
-    run down in chunks of 4096 and only the last top+1 values are kept, so
-    memory does not grow with the ln(1e-17)/ln z orders above top."""
+    run down from start in the chunks of _a_chunk; those above top are run
+    without keeping their values and the last top+1 fill a list of that size,
+    so memory does not grow with the ln(1e-17)/ln z orders above top."""
     start = top + math.ceil(math.log(1e-17) / math.log(z)) + 2
-    f, f_next, values = 1.0, 0.0, []
-    for hi in range(start, 0, -4096):
-        ks = np.arange(max(hi - 4095, 1), hi + 1)
-        a = ks * (ks + dim.n - 1) / ((ks + dim.n / 2 - 1) * (ks + dim.n / 2))
-        for ak in reversed(a.tolist()):
-            f, f_next = f + z * (f - ak * f_next), f
-            values.append(f)
-        del values[: -top - 1]
-    values = np.array(values[::-1])
+    a = chain.from_iterable(_a_chunk(dim.n, j)[max(_CHUNK * (j + 1) - start, 0) :]
+                            for j in range((start - 1) // _CHUNK, -1, -1))
+    f, f_next = 1.0, 0.0
+    for ak in islice(a, start - top - 1):
+        f, f_next = f + z * (f - ak * f_next), f
+    values = [0.0] * (top + 1)
+    for i, ak in zip(range(top, -1, -1), a):
+        f, f_next = f + z * (f - ak * f_next), f
+        values[i] = f
+    values = np.array(values)
     return values / values[0]
 
 

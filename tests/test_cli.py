@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -507,6 +508,89 @@ def test_unwritable_output_exits_2_with_error_record(tmp_path, capsys, monkeypat
     rec = json.loads(capsys.readouterr().err)
     assert rec["error"] == "FileNotFoundError" and rec["status"] == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rerun_over_an_existing_file_is_a_fresh_write(tmp_path, fmt):
+    # the file is rewritten in place and cut to the new length: no old byte
+    # survives a longer file, and a shorter one grows
+    out = tmp_path / f"c.{fmt}"
+    cfg = parse_config(["coeffs", "--format", fmt, "--output", str(out)])
+    assert run(cfg) == 0
+    fresh = out.read_bytes()
+    for old in (b"x" * (3 * len(fresh)), b"y\n"):
+        out.write_bytes(old)
+        assert run(cfg) == 0
+        assert out.read_bytes() == fresh
+
+
+def test_device_output_exits_0():
+    # a device is written without truncation, which it does not support
+    with pytest.raises(SystemExit) as exit_:
+        main(["coeffs", "--output", os.devnull])
+    assert exit_.value.code == 0
+
+
+def test_failed_write_leaves_an_empty_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "c.csv"
+    out.write_bytes(b"x" * 100_000)
+    real_write = os.write
+    calls = []
+
+    def short_then_fail(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return real_write(fd, data[: len(data) // 2])
+
+    monkeypatch.setattr(os, "write", short_then_fail)
+    assert run(parse_config(["coeffs", "--output", str(out)])) == 2
+    assert len(calls) == 2 and calls[1] == calls[0] - calls[0] // 2
+    rec = json.loads(capsys.readouterr().err)
+    assert rec["error"] == "OSError" and rec["status"] == 2
+    assert out.read_bytes() == b""
+
+
+def test_read_only_output_exits_2_and_is_left_unchanged(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "c.csv"
+    out.write_bytes(b"old table\n")
+    out.chmod(0o444)
+    if os.geteuid() == 0:
+        # mode bits do not stop root: refuse the open as the kernel does for
+        # any other user
+        real_open = os.open
+
+        def refuse(path, flags, *args):
+            if os.fspath(path) == str(out) and flags & (os.O_WRONLY | os.O_RDWR):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real_open(path, flags, *args)
+
+        monkeypatch.setattr(os, "open", refuse)
+    assert run(parse_config(["coeffs", "--output", str(out)])) == 2
+    rec = json.loads(capsys.readouterr().err)
+    assert rec["error"] == "PermissionError" and rec["status"] == 2
+    assert out.read_bytes() == b"old table\n"
+
+
+def test_rewrite_neither_opens_with_o_trunc_nor_truncates_to_zero(tmp_path, monkeypatch):
+    out = tmp_path / "c.json"
+    out.write_bytes(b"x" * 100_000)
+    real_open, real_ftruncate = os.open, os.ftruncate
+    opened, cut = [], []
+
+    def record_open(path, flags, *args):
+        opened.append(flags)
+        return real_open(path, flags, *args)
+
+    def record_ftruncate(fd, length):
+        cut.append(length)
+        return real_ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "open", record_open)
+    monkeypatch.setattr(os, "ftruncate", record_ftruncate)
+    assert run(parse_config(["pk-closed", "--format", "json", "--output", str(out)])) == 0
+    assert len(opened) == 1 and not opened[0] & os.O_TRUNC
+    assert cut == [out.stat().st_size] and 0 < cut[0] < 100_000
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -255,6 +256,30 @@ def test_odd_recurrence_at_block_edges(n):
                 assert F_k(dim, k, z) == f
                 ref = mp_reference.f_value(n, k, z)
                 assert abs((f - ref) / ref) < 1e-12
+
+
+# SHA-256 prefixes of F_k(z) at the orders 0..447 (blocks 63, 191 and 447),
+# as the per-call chunk loop gave them: at z = 0.999 the recurrence starts
+# about 39,000 orders up and runs through ten 4096-order chunks of a_k
+_CHUNKED_F_DIGESTS = {
+    (3, 0.9025): "e8e9b10a922e24ca",
+    (3, 0.999): "849311e24f7f3732",
+    (5, 0.9025): "e17e3e98d6f94e5f",
+    (5, 0.999): "c90c12b9c0201c71",
+    (7, 0.9025): "f4a72172e47c8a9c",
+    (7, 0.999): "db9d8e2490242d08",
+}
+
+
+@pytest.mark.parametrize("n, z", list(_CHUNKED_F_DIGESTS))
+def test_odd_recurrence_across_chunks(n, z):
+    dim = Dimension(n)
+    f = F_k(dim, np.arange(448), z)
+    assert hashlib.sha256(f.tobytes()).hexdigest()[:16] == _CHUNKED_F_DIGESTS[n, z]
+    with mp.workdps(40):
+        for k in (0, 1, 63, 64, 191, 192, 447):
+            ref = mp_reference.f_value(n, k, z)
+            assert abs((f[k] - ref) / ref) < 1e-12
 
 
 def test_odd_recurrence_memory_near_the_boundary():
