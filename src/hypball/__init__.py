@@ -21,7 +21,6 @@ from .closedform import (
     QuadratureControl,
     H_function,
     conjecture1_residual,
-    conjecture2_zero_count,
     green_closed_n4,
     green_closed_n6,
     laplace_weight,

@@ -29,9 +29,7 @@ from .closedform import (
     H_function,
     QuadratureControl,
     _integrate_decaying,
-    _radial_polynomial,
     conjecture1_residual,
-    conjecture2_zero_count,
     green_closed_n4,
     green_closed_n6,
     laplace_weight,
@@ -74,7 +72,6 @@ class RunConfig:
     scheme: str = "cartesian"
     exit_mode: str = "bridge"
     suite: str = "wronskian"
-    which: str = "both"
     output: str = None
     format: str = "csv"
 
@@ -96,8 +93,6 @@ class RunConfig:
             raise ValueError("tolerances must be positive and finite")
         if self.suite not in _SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
-        if self.which not in ("1", "2", "both"):
-            raise ValueError("which must be 1, 2 or both")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
         self.sde()  # fail before simulating anything
@@ -358,35 +353,26 @@ def _cmd_identity_check(cfg):
     return columns, rows, {"pass": ok, "suite": cfg.suite, **_skipped(cfg, [cfg.suite])}
 
 
-def _conj2_probes(dim, r2):
-    """Rectangles with known zero counts at z = r^2: one around the rho zeros
-    of F_k(r^2) in k, the roots of P_{r^2}, and one right of them holding none."""
-    zeros = np.roots(_radial_polynomial(dim, r2)[1])
-    lo, hi, im = zeros.real.min(), zeros.real.max(), np.abs(zeros.imag).max()
-    return [((lo - 0.5, hi + 0.5, -im - 1.0, im + 1.0), int(dim.rho)),
-            ((hi + 0.75, -0.25, -1.0, 1.0), 0)]
-
-
 def _cmd_conjecture_scan(cfg):
     rows = []
     zs = [0.1 * j for j in range(1, 10)]
-    if cfg.which in ("1", "both"):
-        for dim in _covered(cfg, "conj1"):
-            for k in (1, 2, 5, 10, 20, 50, 100, 200, 500):
-                worst = max(conjecture1_residual(dim, z, k) for z in zs)
-                # the n=4 identity is exact; the k^2 factor amplifies the
-                # one-ulp rounding of F_k past 1e-12 beyond k ~ 60, so the
-                # strict bound applies below that and boundedness above
-                bound = 1e-12 if dim.n == 4 and k <= 50 else 100.0
-                rows.append(("conj1", dim.n, float(k), worst, worst <= bound))
-    if cfg.which in ("2", "both"):
-        for dim in _covered(cfg, "conj2"):
-            for rect, expected in _conj2_probes(dim, cfg.r**2):
-                count = conjecture2_zero_count(dim, cfg.r**2, rect)
-                rows.append(("conj2", dim.n, float(expected), float(count),
-                             count == expected))
-    probes = [p for p in ("conj1", "conj2") if cfg.which in (p[-1], "both")]
-    meta = {"pass": all(row[-1] for row in rows), **_skipped(cfg, probes)}
+    for dim in _covered(cfg, "conj1"):
+        for k in (1, 2, 5, 10, 20, 50, 100, 200, 500):
+            worst = max(conjecture1_residual(dim, z, k) for z in zs)
+            # the n=4 identity is exact; the k^2 factor amplifies the
+            # one-ulp rounding of F_k past 1e-12 beyond k ~ 60, so the
+            # strict bound applies below that and boundedness above
+            bound = 1e-12 if dim.n == 4 and k <= 50 else 100.0
+            rows.append(("conj1", dim.n, float(k), worst, worst <= bound))
+    for dim in _covered(cfg, "conj2"):
+        # F_k(r^2) has no zero with Re k >= -n/2 iff the weight, as poisson_integral
+        # checks, decays faster than n/2; a double zero of P_{r^2} (n = 6 at r^2 =
+        # 7 - 4 sqrt 3) moves by sqrt(eps) relative as its coefficients round
+        rate, half = laplace_weight(dim, 0.0, cfg.r**2).decay_rate, dim.n / 2
+        if not abs(rate - half) > math.sqrt(sys.float_info.epsilon) * rate:
+            raise RuntimeError(f"conj2 n={dim.n}: rate {rate!r} is within its rounding of n/2")
+        rows.append(("conj2", dim.n, half, rate, rate > half))
+    meta = {"pass": all(row[-1] for row in rows), **_skipped(cfg, ("conj1", "conj2"))}
     return ("probe", "n", "parameter", "value", "pass"), rows, meta
 
 
@@ -499,7 +485,6 @@ _HELP = {
     "scheme": "cartesian or polar",
     "exit_mode": "bridge or grid",
     "suite": "identity-check suite: " + ", ".join(_SUITES),
-    "which": "conjecture selector: 1, 2 or both",
     "output": "output file path",
     "format": "csv or json",
 }
@@ -602,7 +587,11 @@ def run(cfg):
     summary = f"wrote {cfg.output}"
     if "pass" in meta:
         summary += " pass" if meta["pass"] else " FAIL"
-    print(summary)
+    try:  # in stdout's own file (--output /dev/stdout) it would overwrite the table
+        same = os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(cfg.output))
+    except (OSError, ValueError):  # a stdout without a descriptor, as io.StringIO
+        same = False
+    print(summary, file=sys.stderr if same else sys.stdout)
     return 0
 
 

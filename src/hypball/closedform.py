@@ -1,11 +1,11 @@
 """Closed-form route to the kernels for even n, served by one source: the
 radial polynomial P_z(k) = F_k(z) Gamma(k+n/2+rho)/Gamma(k+n/2), of degree
 rho in k. It gives the H-function remainder of the spectral coefficient, its
-inverse Laplace weight w(v) over the roots of P_{r^2}, the integral
-representation of the Poisson kernel and the zero counts that probe the
-zero-freeness of F_k in a complex-k half-plane. The Green functions (via the
-Kelvin point y* = r^2 y/|y|^2) are for n in {4, 6}; the large-k expansion of
-F_k is probed directly."""
+inverse Laplace weight w(v) over the roots of P_{r^2}, and the integral
+representation of the Poisson kernel. That integral rests on F_k(r^2) having
+no zero in k with Re k >= -n/2: w decays at minus the rightmost root, which
+must exceed n/2. The Green functions (via the Kelvin point y* = r^2 y/|y|^2)
+are for n in {4, 6}; the large-k expansion of F_k is probed directly."""
 
 import cmath
 import functools
@@ -442,28 +442,3 @@ def conjecture1_residual(dim, z, k):
     )
     return k * k * abs(f - expansion)
 
-
-def conjecture2_zero_count(dim, z, rect):
-    """Count zeros of F_k(z), as a function of complex k, strictly inside
-    the rectangle rect = (re_lo, re_hi, im_lo, im_hi): the roots of the
-    radial polynomial P_z, so the zeros that 1/Gamma factors give f_z, which
-    are not zeros of F_k(z), are not counted. Even n only. A root within
-    1e-7 max(1, |k|) of the boundary raises RuntimeError. The zero-freeness
-    hypothesis concerns Re k >= -n/2 - eps (probing convention eps = 0.1).
-    """
-    if not 0 < z < 1:
-        raise ValueError("needs z in (0, 1)")
-    re_lo, re_hi, im_lo, im_hi = rect
-    if not (re_lo < re_hi and im_lo < im_hi):
-        raise ValueError("degenerate rectangle")
-    count = 0
-    for p in np.roots(_radial_polynomial(dim, z)[1]).tolist():
-        # signed distance to the nearest edge, positive inside
-        gap = min(p.real - re_lo, re_hi - p.real, p.imag - im_lo, im_hi - p.imag)
-        if abs(gap) <= 1e-7 * max(1.0, abs(p)):
-            raise RuntimeError(
-                "contour passes too near a zero; perturb the rectangle "
-                "edges (e.g. shift by 1e-3)"
-            )
-        count += int(gap > 0)  # a Python int also when rect holds NumPy floats
-    return count

@@ -61,11 +61,6 @@ def _green_prefactor(dim):
     return math.gamma(dim.n / 2 - 1) / (4 * math.pi ** (dim.n / 2))
 
 
-def _powers(q, ks):
-    """q**k at the orders ks by Python float powers (np.power can differ)."""
-    return np.array([q**k for k in ks.tolist()])
-
-
 class _Radial:
     """Read-only radial values at z of the orders k0..k1: F_k(z), checked once
     to be positive (F_k(z) >= (1-z)^rho > 0, see _series_table), and G_k(z) on
@@ -139,7 +134,7 @@ def poisson_coefficient(D, k, ax):
 def _poisson_terms(D, ks, ax, b, x):
     """The Poisson coefficients at the orders ks of the records b of r^2 and x
     of ax^2: the one formula of the table blocks and poisson_coefficient."""
-    return _powers(ax / D.r, ks) * x.f / b.f
+    return np.power(ax / D.r, ks) * x.f / b.f
 
 
 def _series_table(name, D, terms, radii, base, scale, ctl):
@@ -216,7 +211,7 @@ def _image_terms(D, ks, ax, ay, b, x, y):
     s = ax ay / r^2 < 1, at the orders ks of the records b of r^2, x of ax^2
     and y of ay^2: the one formula of the table blocks and green_coefficient."""
     dim, rho, r = D.dim, D.dim.rho, D.r
-    radial = x.f * y.f * _powers(ax * ay / r**2, ks)
+    radial = x.f * y.f * np.power(ax * ay / r**2, ks)
     return (_green_prefactor(dim) * rho / (ks + rho) * radial
             * b.g / (b.f * r ** (2 * rho)))
 
@@ -244,7 +239,7 @@ def _green_terms(D, ks, lo, hi, b, x, y):
     and y of hi^2, lo <= hi: the free half, then _image_terms."""
     rho = D.dim.rho
     free = (_green_prefactor(D.dim) * rho / (ks + rho) * x.f
-            * _powers(lo / hi, ks) * y.g / hi ** (2 * rho))
+            * np.power(lo / hi, ks) * y.g / hi ** (2 * rho))
     return free - _image_terms(D, ks, lo, hi, b, x, y)
 
 

@@ -2,8 +2,9 @@
 G_k (vanishing at z = 1) of the hyperbolic Laplacian on the ball, their
 derivatives, Gegenbauer polynomials, and the Wronskian-type identity that
 ties F_k and G_k together. The one hypergeometric summation kernel is
-_hyp_sweep, the terminating series behind even-n F_k and F_k'; odd-n F_k
-comes from a backward recurrence in k, and odd-n F_k' from F_k and F_(k+1)."""
+_hyp_sweep, the terminating series of positive terms behind even-n F_k and
+F_k' (after Pfaff's transformation); odd-n F_k comes from a backward
+recurrence in k, and odd-n F_k' from F_k and F_(k+1)."""
 
 import functools
 import math
@@ -35,11 +36,11 @@ class Dimension:
 
 
 def _hyp_sweep(a, b, c, z):
-    """F(a, b; c; z) for a non-positive integer b, elementwise over arrays a
-    and c: the terminating series, summed in -b steps. A scalar a and c take
-    the float operations of one array element, so scalar and array values
-    agree bit for bit."""
-    term = total = np.ones(np.broadcast(a, c).shape)
+    """F(a, b; c; z) for a non-positive integer b, elementwise over an array
+    c: the terminating series, summed in -b steps. A scalar c takes the float
+    operations of one array element, so scalar and array values agree bit
+    for bit."""
+    term = total = np.ones(np.shape(c))
     for i in range(round(-b)):
         term = term * (a + i) * (b + i) * z / ((c + i) * (1 + i))
         total = total + term
@@ -60,13 +61,14 @@ def _as_order(k):
 
 
 def _f_derivative(dim, k, z):
-    """F_k'(z) at the orders of the int array k, from the radial layer itself:
-    for even n, F_k' = -k rho/(k+n/2) F(k+1, 1-rho; k+1+n/2; z) (DLMF 15.5.1),
-    another terminating sweep; for odd n, the contiguous relation
-    (1-z) F_k' = k F_k - k(k+n-1)/(k+n/2) F_(k+1) on two array F_k calls."""
+    """F_k'(z) at the orders of the int array k: for even n, -k rho/(k+n/2)
+    (1-z)^(rho-1) F(n/2, 1-rho; k+1+n/2; z/(z-1)) (DLMF 15.5.1, 15.8.1), a
+    sweep of positive terms; for odd n, the contiguous relation (1-z) F_k' =
+    k F_k - k(k+n-1)/(k+n/2) F_(k+1) on two array F_k calls."""
     half = dim.n / 2
     if dim.is_even:
-        return -k * dim.rho / (k + half) * _hyp_sweep(k + 1, 1 - dim.rho, k + 1 + half, z)
+        return (-k * dim.rho / (k + half) * (1 - z) ** (dim.rho - 1)
+                * _hyp_sweep(half, 1 - dim.rho, k + 1 + half, z / (z - 1)))
     f, f_next = F_k(dim, k, z), F_k(dim, k + 1, z)
     return (k * f - k * (k + dim.n - 1) / (k + half) * f_next) / (1 - z)
 
@@ -118,8 +120,10 @@ def _f_recurrence(dim, top, z):
 def F_k(dim, k, z):
     """Bounded radial solution F_k(z) = F(k, -rho; k + n/2; z), F_k(0) = 1.
 
-    For even n the series terminates after rho+1 terms. For odd n, F_k is
-    the minimal solution (characteristic roots 1 and 1/z) of the recurrence
+    For even n, F_k = (1-z)^rho F(n/2, -rho; k+n/2; z/(z-1)) (DLMF 15.8.1):
+    rho+1 positive terms, so nothing cancels as z -> 1, and F_0 = 1.0 exactly
+    (the product can round to 1 + 2^-52). For odd n, F_k is the minimal
+    solution (characteristic roots 1 and 1/z) of the recurrence
     F_(k-1) = F_k + z (F_k - a_k F_(k+1)), a_k = k(k+n-1)/((k+n/2-1)(k+n/2))
     (DLMF 15.5(ii)), run backwards from F_(N+1) = 0, F_N = 1 and normalised
     by F_0 = 1 (Miller's algorithm). N is ln(1e-17)/ln z orders past the end
@@ -131,7 +135,8 @@ def F_k(dim, k, z):
     if not 0 <= z < 1:
         raise ValueError("F_k needs z in [0, 1)")
     if dim.is_even:
-        f = _hyp_sweep(k, -dim.rho, k + dim.n / 2, z)
+        f = (1 - z) ** dim.rho * _hyp_sweep(dim.n / 2, -dim.rho, k + dim.n / 2, z / (z - 1))
+        f = np.where(k == 0, 1.0, f)
         return f if np.ndim(k) else float(f)
     ks = np.atleast_1d(k)
     top = _block_end(int(ks.max(initial=0)))

@@ -135,3 +135,18 @@ def laplace_weight(n, x2, r2, v, dps=50):
         amp2 = mp.mpf(3) / 2 * (1 + x2 * r2 + 5 * (x2 + r2))
         sinhc = v if c == 0 else mp.sinh(c * v) / c
         return float(mp.re(mp.exp(-b * v) * (amp1 * mp.cosh(c * v) + amp2 * sinhc)))
+
+
+def radial_zeros(n, z, dps=40):
+    """The rho zeros in k of F_k(z) for even n: mp.polyroots of the radial
+    polynomial P_z(k) = sum_i (k)_i (-rho)_i z^i / i! (k+n/2+i)_(rho-i),
+    F_k(z) Gamma(k+n/2+rho)/Gamma(k+n/2), at the float z taken exactly."""
+    rho, half = n // 2 - 1, n // 2
+    with mp.workdps(dps):
+        z, total = mp.mpf(z), [mp.mpf(0)] * (rho + 1)  # highest power of k first
+        for i in range(rho + 1):
+            poly = [mp.rf(-rho, i) * z**i / mp.factorial(i)]
+            for a in (*range(i), *range(half + i, half + rho)):  # times (k + a)
+                poly = [hi + a * lo for hi, lo in zip(poly + [0], [0] + poly)]
+            total = [t + p for t, p in zip(total, poly)]
+        return mp.polyroots(total, maxsteps=200, extraprec=4 * dps)

@@ -1,21 +1,23 @@
 """Release gate: every numerical guarantee the package advertises, one
 test per guarantee, each at its advertised tolerance and runtime budget.
 Everything here runs against public API only (plus the scalar Gegenbauer
-polynomial of the test helpers); the unit modules cover the internals."""
+polynomial and the mpmath radial zeros of the test helpers); the unit
+modules cover the internals."""
 
 import json
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
+from mp_reference import radial_zeros
 from reference_helpers import gegenbauer
 
 from hypball.cli import parse_config, run
 from hypball.closedform import (
     H_function,
     conjecture1_residual,
-    conjecture2_zero_count,
     green_closed_n4,
     green_closed_n6,
     laplace_weight,
@@ -266,7 +268,7 @@ def test_accept_06_monte_carlo_exit_law():
     print(f"monte carlo exit law: PASS (worst |z| {worst:.2f}, {elapsed:.0f}s)")
 
 
-def test_accept_07_conjecture_probes():
+def test_accept_07_conjecture_probes(tmp_path):
     # the n=4 large-k expansion residual is exactly zero (float rounding
     # grows like k^2 ulp, so the raw 1e-12 bound applies through k = 50 and
     # the rounding envelope beyond); n in {6, 8} stay bounded to k = 500;
@@ -280,29 +282,21 @@ def test_accept_07_conjecture_probes():
             res = max(conjecture1_residual(Dimension(n), z, k) for z in zs)
             assert res <= 16.0
 
-    # n=4: single root of F at k = -2/(1-z)
-    r2 = 0.36
-    root = -2.0 / (1.0 - r2)
-    assert conjecture2_zero_count(
-        Dimension(4), r2, (root - 1.0, root + 1.0, -1.0, 1.0)
-    ) == 1
-    assert conjecture2_zero_count(
-        Dimension(4), r2, (root + 1.0, -0.5, -1.0, 1.0)
-    ) == 0
-    # n=6: the quadratic roots -b +- c (real below the critical radius,
-    # conjugate pair -b +- i c~ above)
-    for r2 in (0.04, 0.36):
-        (w,) = laplace_weight(Dimension(6), 0.0, r2)
-        b, c = w.b, abs(w.c)
-        if w.regime == "cosh-sinh":
-            rect = (-b - c - 0.5, -b + c + 0.5, -1.0, 1.0)
-        else:
-            rect = (-b - 0.5, -b + 0.5, -c - 0.5, c + 0.5)
-        assert conjecture2_zero_count(Dimension(6), r2, rect) == 2
-        assert conjecture2_zero_count(
-            Dimension(6), r2, (-b + c + 0.75, -0.25, -1.0, 1.0)
-        ) == 0
-    print("conjecture probes: PASS (expansion residuals, zero counts)")
+    out = tmp_path / "conj.json"
+    for r in (0.05, 0.2, 0.6, 0.95):
+        argv = ["conjecture-scan", "--n", "4..8", "--r", repr(r), "--x", "0",
+                "--format", "json", "--output", str(out)]
+        assert run(parse_config(argv)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["pass"] is True
+        rows = {row["n"]: row for row in doc["rows"] if row["probe"] == "conj2"}
+        assert rows[4]["value"] == pytest.approx(2 / (1 - r * r), rel=1e-15, abs=0)
+        for n in (6, 8):
+            exact = -max(mp.re(p) for p in radial_zeros(n, r * r))
+            assert rows[n]["value"] == pytest.approx(float(exact), rel=1e-12, abs=0)
+        for n, row in rows.items():
+            assert row["parameter"] == n / 2 and row["value"] > n / 2 and row["pass"]
+    print("conjecture probes: PASS (expansion residuals, zero-free half-plane)")
 
 
 def test_accept_08_generating_function_suite():

@@ -8,9 +8,11 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mp_reference import radial_zeros
 
 import hypball
 from hypball import cli
@@ -89,7 +91,7 @@ def test_one_flag_per_config_field():
     assert sorted(s for spellings in flags.values() for s in spellings) == sorted(
         ["--n", "--r", "--x", "--y", "--theta-grid", "--kmax", "--series-tol",
          "--quad-tol", "--dt", "--paths", "--seed", "--max-steps", "--scheme",
-         "--exit-mode", "--suite", "--which", "--output", "--format"])
+         "--exit-mode", "--suite", "--output", "--format"])
 
 
 def test_invalid_choices_exit_2_with_error_record(tmp_path, capsys):
@@ -100,7 +102,6 @@ def test_invalid_choices_exit_2_with_error_record(tmp_path, capsys):
         (["mc-validate", "--exit-mode", "reflect"],
          "exit_mode must be 'bridge' or 'grid'"),
         (["identity-check", "--suite", "bogus"], "unknown suite 'bogus'"),
-        (["conjecture-scan", "--which", "3"], "which must be 1, 2 or both"),
         (["coeffs", "--format", "xml"], "format must be csv or json"),
         (["frobnicate"], "unknown command 'frobnicate'"),
         # the seed keys the Philox stream unmasked: no two seeds alias
@@ -211,26 +212,26 @@ def test_reruns_are_byte_identical(tmp_path):
 # Like the seeded Monte Carlo digests they hold for one platform and NumPy
 # build.
 _ROW_DIGESTS = {
-    ("pk-eval", "--n", "4", "--theta-grid", "256"): "458f61794021755a",
+    ("pk-eval", "--n", "4", "--theta-grid", "256"): "bde4842e00355546",
     ("pk-eval", "--n", "5", "--theta-grid", "256"): "ce9311fd2d793c08",
-    ("pk-eval", "--n", "6", "--theta-grid", "256"): "f3d42af9e66097b1",
-    ("green-eval", "--n", "4", "--theta-grid", "256"): "ad6ccb6ae8ee800d",
+    ("pk-eval", "--n", "6", "--theta-grid", "256"): "4b29662d52ad87e9",
+    ("green-eval", "--n", "4", "--theta-grid", "256"): "41ea9a95e6d00f95",
     # odd n: G_0's a z^rho term without the log
     ("green-eval", "--n", "5", "--theta-grid", "256"): "29f8a0870e753f34",
-    ("green-eval", "--n", "6", "--theta-grid", "256"): "107c27eb5f0ea5ee",
+    ("green-eval", "--n", "6", "--theta-grid", "256"): "df25fb7c345bef5b",
     # every z below G_0's split between its two forms
     ("green-eval", "--n", "6", "--r", "0.2", "--x", "0.1", "--theta-grid", "256"):
-        "9ee2511fd2e5314a",
+        "99a7d02fe5dab7ac",
     ("pk-closed", "--n", "6", "--theta-grid", "256", "--format", "json"):
         "50633485e63300b5",
     ("pk-closed", "--n", "8", "--theta-grid", "256", "--format", "json"):
         "34be85c233d176f5",
     ("green-closed", "--n", "4", "--theta-grid", "256"): "32559e79fb1ecf25",
     ("green-closed", "--n", "6", "--theta-grid", "256"): "45a7563c4bb77e66",
-    ("coeffs", "--kmax", "40"): "1c8d464955c35330",
-    ("identity-check", "--suite", "normalization", "--n", "5"): "66498bb057aef058",
+    ("coeffs", "--kmax", "40"): "1656532786078cd9",
+    ("identity-check", "--suite", "normalization", "--n", "5"): "ecfd43fc212ef2cf",
     # one F_k and one G_k array per (n, z), G_k' by the contiguous relation
-    ("identity-check", "--suite", "wronskian", "--n", "3..8"): "cc4ba0de8cb7c69b",
+    ("identity-check", "--suite", "wronskian", "--n", "3..8"): "9b7d5274fd419df8",
 }
 
 
@@ -305,8 +306,7 @@ def test_writers_are_pinned(tmp_path):
 # command=coeffs n=4 r=0.59999999999999998 x=0.29999999999999999 y=None \
 theta_grid=64 k_max=2000 series_tol=1e-10 quad_tol=1e-10 \
 dt=0.00050000000000000001 n_paths=100000 seed=12345 max_steps=20000 \
-scheme=cartesian exit_mode=bridge suite=wronskian which=both output=table.csv \
-format=csv
+scheme=cartesian exit_mode=bridge suite=wronskian output=table.csv format=csv
 # max_abs_z=0.33333333333333331
 # pass=false
 k,flag,value
@@ -336,7 +336,6 @@ k,flag,value
       "scheme": "cartesian",
       "exit_mode": "bridge",
       "suite": "wronskian",
-      "which": "both",
       "output": "table.csv",
       "format": "csv"
     }},
@@ -623,7 +622,7 @@ def test_green_eval_at_equal_radii(tmp_path):
     ["conjecture-scan", "--n", "3"],
     ["identity-check", "--suite", "laplace", "--n", "5"],
     ["identity-check", "--suite", "laplace", "--n", "7"],
-    ["conjecture-scan", "--n", "7", "--which", "2"],
+    ["conjecture-scan", "--n", "7"],
 ])
 def test_empty_selections_exit_2(tmp_path, capsys, argv):
     # no row of the suite or probe applies to these n; an empty table
@@ -637,27 +636,56 @@ def test_empty_selections_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("r", [0.2, math.sqrt(7 - 4 * math.sqrt(3)), 0.6, 0.95])
-def test_conjecture_scan_counts_the_known_zeros(tmp_path, r):
-    # per n, one rectangle around the zeros of F_k(r^2) in k and one right
-    # of them; the radii span both shapes of the n = 6 pair and its double
-    # zero at the critical radius
+@pytest.mark.parametrize("r", [0.05, 0.2, math.sqrt(7 - 4 * math.sqrt(3)), 0.6, 0.95])
+def test_conjecture_scan_reads_the_rightmost_zero(tmp_path, r):
+    # per even n, one conj2 row: the weight's decay rate, which is minus the
+    # rightmost zero of F_k(r^2) in k, against n/2; the radii span both shapes
+    # of the n = 6 pair and its double zero at the critical radius
     out = tmp_path / "c.csv"
-    argv = ["conjecture-scan", "--which", "2", "--n", "4..8", "--r", repr(r),
-            "--x", "0.1", "--output", str(out)]
+    argv = ["conjecture-scan", "--n", "4..8", "--r", repr(r), "--x", "0", "--output", str(out)]
     assert run(parse_config(argv)) == 0
     header, _, rows = read_table(out)
     assert "# pass=true" in header
-    assert [row[:3] for row in rows] == [
-        ["conj2", "4", "1"], ["conj2", "4", "0"],
-        ["conj2", "6", "2"], ["conj2", "6", "0"],
-        ["conj2", "8", "3"], ["conj2", "8", "0"],
-    ]
-    assert all(row[3] == row[2] and row[4] == "true" for row in rows)
+    conj2 = [row for row in rows if row[0] == "conj2"]
+    assert [row[1:3] for row in conj2] == [["4", "2"], ["6", "3"], ["8", "4"]]
+    for _, n, _, rate, ok in conj2:
+        exact = -max(mp.re(p) for p in radial_zeros(int(n), r * r))
+        assert float(rate) == pytest.approx(float(exact), rel=1e-12, abs=0)
+        assert ok == "true" and float(rate) > int(n) / 2
+
+
+def test_conjecture_scan_raises_on_an_unresolved_margin(tmp_path, capsys):
+    # n = 4: the rate is 2/(1 - r^2), 2e-10 above n/2 at r = 1e-5, below the
+    # rate's rounding; no table is written
+    out = tmp_path / "c.csv"
+    argv = ["conjecture-scan", "--n", "4", "--r", "1e-5", "--x", "0", "--output", str(out)]
+    assert run(parse_config(argv)) == 3
+    rec = json.loads(capsys.readouterr().err)
+    assert rec["error"] == "RuntimeError" and rec["status"] == 3
+    assert "within its rounding of n/2" in rec["message"]
+    assert not out.exists()
+
+
+def test_stdout_output_keeps_the_table_whole(tmp_path):
+    # --output /dev/stdout with stdout a regular file: the table is the whole
+    # file and the summary goes to stderr, not over the table's head
+    out = tmp_path / "c.csv"
+    argv = ["coeffs", "--kmax", "2"]
+    assert run(parse_config(argv + ["--output", str(out)])) == 0
+    src = str(Path(hypball.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    with open(tmp_path / "stdout.txt", "w+b") as f:
+        proc = subprocess.run([sys.executable, "-m", "hypball", *argv, "--output", "/dev/stdout"],
+                              env=env, stdout=f, stderr=subprocess.PIPE, text=True, timeout=120)
+        f.seek(0)
+        table = f.read()
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "wrote /dev/stdout\n"
+    assert table == out.read_bytes().replace(str(out).encode(), b"/dev/stdout")
 
 
 @pytest.mark.parametrize("argv, skipped, ran", [
-    (["conjecture-scan", "--which", "2", "--n", "4..8"], "conj2:5,conj2:7",
+    (["conjecture-scan", "--n", "4..8"], "conj1:5,conj1:7,conj2:5,conj2:7",
      {"4", "6", "8"}),
     (["identity-check", "--suite", "laplace", "--n", "3..8"],
      "laplace:3,laplace:5,laplace:7", {"4", "6", "8"}),

@@ -14,7 +14,6 @@ from hypball.closedform import (
     H_function,
     QuadratureControl,
     conjecture1_residual,
-    conjecture2_zero_count,
     green_closed_n4,
     green_closed_n6,
     laplace_weight,
@@ -559,7 +558,8 @@ def test_conjecture1_validation():
         conjecture1_residual(Dimension(4), 0.5, 0)
 
 
-# root layout fixed by independent Newton scans of the radial solutions
+# root layout fixed by independent Newton scans of the radial solutions; the
+# zeros of F_k(z) in k are the poles of laplace_weight's groups at r^2 = z
 @pytest.mark.parametrize(
     "n, z, rect, count",
     [
@@ -584,23 +584,15 @@ def test_conjecture1_validation():
     ],
 )
 def test_conjecture2_zero_counts(n, z, rect, count):
-    if count is None:
-        with pytest.raises(RuntimeError, match="perturb"):
-            conjecture2_zero_count(Dimension(n), z, rect)
+    poles = []
+    for g in laplace_weight(Dimension(n), 0.0, z):  # a lone pole -b or a pair -b +- c
+        poles += [-g.b] if g.regime == "single-exponential" else [-g.b + g.c, -g.b - g.c]
+    assert len(poles) == n // 2 - 1
+    re_lo, re_hi, im_lo, im_hi = rect
+    gaps = [min(p.real - re_lo, re_hi - p.real, p.imag - im_lo, im_hi - p.imag)
+            for p in map(complex, poles)]
+    if count is None:  # an edge runs through a zero
+        assert min(abs(gap) for gap in gaps) <= 1e-12
     else:
-        assert conjecture2_zero_count(Dimension(n), z, rect) == count
-
-
-def test_conjecture2_zero_on_contour():
-    # k = -4 is a root of F_k(0.5) at n=4; the contour must refuse it
-    with pytest.raises(RuntimeError, match="perturb"):
-        conjecture2_zero_count(Dimension(4), 0.5, (-4.0, -3.0, -1.0, 1.0))
-
-
-def test_conjecture2_validation():
-    with pytest.raises(ValueError):
-        conjecture2_zero_count(Dimension(4), 0.5, (-1.0, -2.0, -1.0, 1.0))
-    with pytest.raises(ValueError, match="even n"):
-        conjecture2_zero_count(Dimension(5), 0.5, (-2.0, -1.0, -1.0, 1.0))
-    with pytest.raises(ValueError):
-        conjecture2_zero_count(Dimension(4), 1.5, (-2.0, -1.0, -1.0, 1.0))
+        assert sum(gap > 1e-7 for gap in gaps) == count
+        assert all(abs(gap) > 1e-7 for gap in gaps)

@@ -526,12 +526,12 @@ def test_array_rows_match_single_points(n, r):
 # SHA-256 prefixes of the one-Point values of each n: 3 radii r, 3 ratios
 # |x|/r, 3 angles, and |y| in {|x|/2, |x|}; see test_point_values_are_pinned
 _POINT_DIGESTS = {
-    3: "5ea21b712cdc52a6",
-    4: "b9c0faf544c80970",
-    5: "6ccad9ae60bb3636",
-    6: "c6c01c6373e2deab",
-    7: "6b70ae3704e32f3b",
-    8: "8e2a20522af2a383",
+    3: "21d123f0dc222abb",
+    4: "e4648b6eb5528393",
+    5: "19c87e7781f905fd",
+    6: "555922a542351b1a",
+    7: "1727f9800042bc40",
+    8: "11a817772b9ef20e",
 }
 
 

@@ -243,6 +243,26 @@ def test_f_derivative_against_mpmath(n):
                 assert abs((df - ref) / ref) < 1e-11
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_even_radial_sweep_without_cancellation(n):
+    # even-n F_k and F_k' sum the positive terms of Pfaff's transformation;
+    # the alternating series in z lost 9e-11 (F_k) and 5e-13 (F_k')
+    # relative at n = 8, z = 0.99
+    dim = Dimension(n)
+    ks = np.array([0, 1, 2, 5, 64, 447, 1500])
+    with mp.workdps(40):
+        for z in (0.9025, 0.99):
+            fs, dfs = F_k(dim, ks, z).tolist(), _f_derivative(dim, ks, z).tolist()
+            for k, f, df in zip(ks.tolist(), fs, dfs):
+                ref = mp_reference.f_value(n, k, z)
+                assert abs((f - ref) / ref) <= 2e-15
+                ref = mp_reference.f_derivative(n, k, z)
+                assert abs(df - ref) <= 2e-15 * abs(ref)
+    # F_0 = 1 exactly, also at the z where the product rounds to 1 + 2^-52
+    for z in np.linspace(0.0, 0.999, 1000).tolist():
+        assert F_k(dim, 0, z) == 1.0 and F_k(dim, ks, z)[0] == 1.0
+
+
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_odd_recurrence_at_block_edges(n):
     # odd-n F_k starts its backward recurrence past the end of k's block of
