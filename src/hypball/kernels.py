@@ -65,13 +65,14 @@ class _Radial:
     """Read-only radial values at z of the orders k0..k1: F_k(z), checked once
     to be positive (F_k(z) >= (1-z)^rho > 0, see _series_table), and G_k(z) on
     first use, which the tables read at z = r^2 and green_coefficient also at
-    |y|^2. _radial keeps one per (n, z, block of orders), so the tables of one
-    ball share F_k(r^2) and those of one |x| F_k(|x|^2); a build that raised is
-    not kept. These records are the only readers of F_k and G_k here."""
+    |y|^2. _records keeps one per (n, z, block of orders) in two caches, so the
+    tables of one ball share F_k(r^2) and those of one |x| F_k(|x|^2); a build
+    that raised is not kept. These records are the only readers of F_k and
+    G_k here, and they ask F_k for a range, its one-block request."""
 
     def __init__(self, dim, z, k0, k1):
         self.dim, self.z, self.k0, self.k1 = dim, z, k0, k1
-        self.f = F_k(dim, np.arange(k0, k1 + 1), z)
+        self.f = F_k(dim, range(k0, k1 + 1), z)
         self.f.flags.writeable = False
         if not self.f.min() >= 1e-14:
             raise RuntimeError(f"F_k({z!r}) vanished; radial solution is corrupt")
@@ -84,11 +85,13 @@ class _Radial:
 
 
 _radial = functools.lru_cache(maxsize=512)(_Radial)
+# the r^2 records apart, so that the many |x|^2 records do not evict them
+_ball_radial = functools.lru_cache(maxsize=64)(_Radial)
 
 
 def _records(D, k0, k1, radii):
-    """The records of r^2 and of each radius squared at the orders k0..k1."""
-    return [_radial(D.dim, z, k0, k1) for z in (D.r**2, *(a**2 for a in radii))]
+    """The k0..k1 records of r^2 (_ball_radial) and of each radius^2 (_radial)."""
+    return [_ball_radial(D.dim, D.r**2, k0, k1), *(_radial(D.dim, a**2, k0, k1) for a in radii)]
 
 
 def _at_orders(D, terms, k, radii):
@@ -147,13 +150,13 @@ def _series_table(name, D, terms, radii, base, scale, ctl):
     For j >= k >= 1, m_j <= m_k kappa_k q_k^(j-k) with kappa_k =
     F_k(r^2)/(1-r^2)^rho and q_k the step-ratio bound of series `name` in
     _orders at this base, which decreases in k; so the tail from K is at
-    most m_K kappa_K / (1 - q_K) when q_K < 1. Proof: by Euler's integral
-    (DLMF 15.6.1) F_k(z) = E[(1 - zT)^rho], T ~ Beta(k, n/2), so (1-z)^rho
-    <= F_(k+1)(z) <= F_k(z); G_k(z) = (1-z)^(n-1) E[p_B] / p_(k-1), B ~
-    Bin(k-1, 1-z), with p_i = (n/2)_i/(n)_i decreasing, so G_(k+1)/G_k <=
-    p_(k-1)/p_k = (n+k-1)/(n/2+k-1); and C_(k+1)(1)/C_k(1) = (k+n-2)/(k+1).
-    Raises SeriesTruncationError, with the bound over scale, when k_max is
-    reached first."""
+    most m_K kappa_K / (1 - q_K) when q_K < 1 (inf where q_K >= 1). Proof:
+    by Euler's integral (DLMF 15.6.1) F_k(z) = E[(1 - zT)^rho], T ~ Beta(k,
+    n/2), so (1-z)^rho <= F_(k+1)(z) <= F_k(z); G_k(z) = (1-z)^(n-1) E[p_B] /
+    p_(k-1), B ~ Bin(k-1, 1-z), with p_i = (n/2)_i/(n)_i decreasing, so
+    G_(k+1)/G_k <= p_(k-1)/p_k = (n+k-1)/(n/2+k-1); and C_(k+1)(1)/C_k(1) =
+    (k+n-2)/(k+1). Raises SeriesTruncationError, with the bound over scale,
+    when k_max is reached first."""
     dim, target, edge = D.dim, ctl.tol * scale, (1 - D.r**2) ** D.dim.rho
     blocks, k0 = [], 0
     while k0 <= ctl.k_max:
@@ -163,9 +166,8 @@ def _series_table(name, D, terms, radii, base, scale, ctl):
         block = weight * terms(D, ks, *radii, *records)
         a, b, c = steps[name]
         q = base * a * b / c
-        with np.errstate(divide="ignore"):
-            bound = (np.abs(block) * c_at_1 * (records[0].f / edge)
-                     / np.where(q < 1, 1 - q, 0.0))
+        bound = np.divide(np.abs(block) * c_at_1 * (records[0].f / edge), 1 - q,
+                          out=np.full(q.shape, np.inf), where=q < 1)
         met = after_0 & (bound < target)
         if met.any():
             return np.concatenate(blocks + [block[: np.argmax(met)]])

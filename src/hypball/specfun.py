@@ -74,12 +74,10 @@ def _f_derivative(dim, k, z):
 
 
 def _block_end(k):
-    """Last order of the block of orders holding order k (or each of an int
-    array k): the blocks are 0..63 and then each twice as long as the last,
-    so 63, 191, 447, 959, 1983, ... (frexp's exponent is the bit length)."""
-    if type(k) is int:
-        return 64 * (2 ** (k // 64 + 1).bit_length() - 1) - 1
-    return 64 * (2 ** np.frexp(k // 64 + 1)[1] - 1) - 1
+    """Last order of the block of orders holding the int order k: the blocks
+    are 0..63 and then each twice as long as the last, so 63, 191, 447, 959,
+    1983, ..."""
+    return 64 * (2 ** (k // 64 + 1).bit_length() - 1) - 1
 
 
 # orders per chunk of the odd-n recurrence's a_k
@@ -98,11 +96,11 @@ def _a_chunk(n, j):
     return tuple(a[::-1].tolist())
 
 
-def _f_recurrence(dim, top, z):
-    """[F_0(z), ..., F_top(z)] for odd n and 0 < z < 1; see F_k. The orders
-    run down from start in the chunks of _a_chunk; those above top are run
-    without keeping their values and the last top+1 fill a list of that size,
-    so memory does not grow with the ln(1e-17)/ln z orders above top."""
+def _f_recurrence(dim, top, z, k0, stop):
+    """[F_k0(z), ..., F_min(top, stop-1)(z)] for odd n and 0 < z < 1; see F_k.
+    The orders run down from start in the chunks of _a_chunk; those above top
+    are run without keeping their values and the last top+1 fill a list, so
+    memory does not grow with the ln(1e-17)/ln z orders above top."""
     start = top + math.ceil(math.log(1e-17) / math.log(z)) + 2
     a = chain.from_iterable(_a_chunk(dim.n, j)[max(_CHUNK * (j + 1) - start, 0) :]
                             for j in range((start - 1) // _CHUNK, -1, -1))
@@ -113,8 +111,28 @@ def _f_recurrence(dim, top, z):
     for i, ak in zip(range(top, -1, -1), a):
         f, f_next = f + z * (f - ak * f_next), f
         values[i] = f
-    values = np.array(values)
-    return values / values[0]
+    return np.array(values[k0:stop]) / values[0]
+
+
+def _f_range(dim, k, z):
+    """[F_k(z) for k in the range k], a step-1 range from k >= 0: for even n
+    one sweep over the orders, F_0 set to 1.0; for odd n, for each block of
+    orders it meets, one recurrence from that block's end (_block_end), cut
+    to the orders of the range, so one block costs one recurrence."""
+    if dim.is_even:
+        ks = np.arange(k.start, k.stop)
+        f = (1 - z) ** dim.rho * _hyp_sweep(dim.n / 2, -dim.rho, ks + dim.n / 2, z / (z - 1))
+        if k.start == 0 and len(k):
+            f[0] = 1.0
+        return f
+    if z == 0:
+        return np.ones(len(k))  # F_k(0) = 1
+    blocks, k0 = [np.empty(0)], k.start
+    while k0 < k.stop:
+        top = _block_end(k0)
+        blocks.append(_f_recurrence(dim, top, z, k0, k.stop))
+        k0 = top + 1
+    return blocks[1] if len(blocks) == 2 else np.concatenate(blocks)
 
 
 def F_k(dim, k, z):
@@ -130,25 +148,22 @@ def F_k(dim, k, z):
     of the block of orders holding k (_block_end), so the start's error is
     below 1e-17 and a value depends only on (n, k, z): an integer array k
     gives the array of F_k(z), equal bit for bit to the scalar values.
+    A range of orders (step 1, start >= 0) is one block request, the form
+    the radial records use: only its start and step are checked and nothing
+    is gathered. An array k is gathered from the range of its smallest to
+    largest order.
     """
-    k = _as_order(k)
     if not 0 <= z < 1:
         raise ValueError("F_k needs z in [0, 1)")
-    if dim.is_even:
-        f = (1 - z) ** dim.rho * _hyp_sweep(dim.n / 2, -dim.rho, k + dim.n / 2, z / (z - 1))
-        f = np.where(k == 0, 1.0, f)
-        return f if np.ndim(k) else float(f)
+    if type(k) is range:
+        if k.start < 0 or k.step != 1:
+            raise ValueError("a range of orders needs start >= 0 and step 1")
+        return _f_range(dim, k, z)
+    k = _as_order(k)
     ks = np.atleast_1d(k)
-    top = _block_end(int(ks.max(initial=0)))
-    if z > 0 and _block_end(int(ks.min(initial=0))) == top:
-        out = _f_recurrence(dim, top, z)[ks]  # one block (a table's): no per-order ends
-    else:
-        out = np.ones(ks.shape)  # F_k(0) = 1
-        ends = _block_end(ks)
-        for top in set(ends.tolist()) if z > 0 else ():
-            here = ends == top
-            out[here] = _f_recurrence(dim, top, z)[ks[here]]
-    return out if np.ndim(k) else float(out[0])
+    lo = int(ks.min(initial=0))
+    f = _f_range(dim, range(lo, int(ks.max(initial=-1)) + 1), z)[ks - lo]
+    return f if np.ndim(k) else float(f[0])
 
 
 # G_0 is the finite sum below this z and the series in 1 - z above it; on

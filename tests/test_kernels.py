@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 from hypothesis import example, given, settings, strategies as st
-from kernel_caches import clear_kernel_caches
+from kernel_caches import clear_kernel_caches, record_misses
 from reference_helpers import GegenbauerSpectrum, spectrum_of
 
 from hypball import kernels
@@ -74,7 +74,7 @@ def test_traced_names_do_not_rebuild_boundary_records(monkeypatch):
     clear_kernel_caches()
     poisson_kernel(D, warm, on)
     green_function(D, warm, y)
-    seen, misses = [], kernels._radial.cache_info().misses
+    seen, misses = [], record_misses()
     for name in ("F_k", "G_k"):
 
         def wrapper(dim, k, z, fn=getattr(kernels, name)):
@@ -87,7 +87,7 @@ def test_traced_names_do_not_rebuild_boundary_records(monkeypatch):
     green_function(D, x, y)
     # every record miss, and only a miss, reaches the traced F_k
     assert x.norm**2 in seen and z not in seen
-    assert kernels._radial.cache_info().misses - misses == len(seen)
+    assert record_misses() - misses == len(seen)
 
 
 def test_repeated_green_coefficient_reads_its_records(monkeypatch):
@@ -106,14 +106,31 @@ def test_repeated_green_coefficient_reads_its_records(monkeypatch):
     clear_kernel_caches()
     for k in (3, np.arange(40)):
         first = green_coefficient(D, k, 0.3, 0.7)
-        misses = kernels._radial.cache_info().misses
+        misses = record_misses()
         assert len(seen["F_k"]) == misses and sorted(seen["G_k"]) == [0.7**2, 0.95**2]
         for calls in seen.values():
             calls.clear()
         assert np.array_equal(green_coefficient(D, k, 0.3, 0.7), first)
         assert seen == {"F_k": [], "G_k": []}
-        assert kernels._radial.cache_info().misses == misses
+        assert record_misses() == misses
         clear_kernel_caches()
+
+
+def test_ball_records_outlive_the_request_records(monkeypatch):
+    # the F_k(r^2) records have their own cache: after more than 512 records
+    # at fresh |x|, which fill the request cache, a table of the same ball
+    # reaches F_k only at its own |x|^2
+    D, ctl = ball(5, 0.95), SeriesControl()
+    clear_kernel_caches()
+    _poisson_table(D, 0.9 * D.r, ctl)  # r^2 records of three blocks
+    for j in range(520):
+        _poisson_table(D, 0.5 * D.r + j * 1e-6, ctl)  # one block each
+    assert kernels._radial.cache_info().misses > 512
+    seen, real = [], kernels.F_k
+    monkeypatch.setattr(kernels, "F_k", lambda dim, k, z: seen.append(z) or real(dim, k, z))
+    ax = 0.9 * D.r + 1e-6
+    _poisson_table(D, ax, ctl)
+    assert seen and set(seen) == {ax**2}
 
 
 def test_order_arrays_match_scalar_calls():
@@ -467,6 +484,55 @@ def test_tables_stop_where_the_majorant_tail_meets_tol(n):
                     D, lambda ks: (ks + rho) / rho * _at_orders(D, _image_terms, ks, (ay, ax)), b
                 )
                 assert tail <= ctl.tol
+
+
+# the scan of 96 Poisson tables (n = 3..8, r, |x|/r in _SCAN_RATIOS): each
+# table's length K, or for the 29 that raise at k_max = 2000 the achieved
+# bound, a float; pinned when the tail bound divided under np.errstate
+_SCAN_RATIOS = (0.5, 0.9, 0.97, 0.99)
+_SCAN_CUTS = {
+    (3, 0.3): (41, 301, 1122, 0.0006943689564385396),
+    (3, 0.6): (39, 288, 1076, 0.00017441888157806456),
+    (3, 0.9): (39, 282, 1051, 8.039201205803648e-05),
+    (3, 0.95): (39, 283, 1051, 7.54914731804101e-05),
+    (4, 0.3): (47, 359, 1368, 1.5572166049485967),
+    (4, 0.6): (44, 339, 1297, 0.1965323350076277),
+    (4, 0.9): (44, 332, 1262, 0.06267894018169683),
+    (4, 0.95): (45, 335, 1264, 0.05839602087019536),
+    (5, 0.3): (53, 418, 1616, 2752.5622352303844),
+    (5, 0.6): (49, 391, 1521, 174.56311215417807),
+    (5, 0.9): (49, 382, 1474, 38.553661752851895),
+    (5, 0.95): (50, 386, 1478, 35.670896661562935),
+    (6, 0.3): (59, 477, 1867, 4146109.070688015),
+    (6, 0.6): (54, 443, 1746, 132140.18487559623),
+    (6, 0.9): (54, 433, 1688, 20226.960004621476),
+    (6, 0.95): (56, 439, 1694, 18602.684440369292),
+    (7, 0.3): (65, 537, 2.8638605630158584e-09, 5542050062.313291),
+    (7, 0.6): (59, 496, 1974, 88775263.76597305),
+    (7, 0.9): (60, 484, 1905, 9425989.946128855),
+    (7, 0.95): (62, 491, 1912, 8625376.33904022),
+    (8, 0.3): (71, 598, 3.3184656307696147e-06, 6739953361281.874),
+    (8, 0.6): (64, 549, 2.8173034018371825e-08, 54269297826.89133),
+    (8, 0.9): (65, 535, 2.9808293071342774e-09, 4000230040.476796),
+    (8, 0.95): (68, 545, 3.908428028430304e-09, 3645450640.058056),
+}
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_tail_bound_keeps_every_cut(n):
+    # the bound divides only where q < 1 and reads inf elsewhere: every
+    # table of the scan stops at its pinned K, and every one that raises
+    # carries its pinned achieved bound
+    ctl = SeriesControl()
+    for r in (0.3, 0.6, 0.9, 0.95):
+        D, got = ball(n, r), []
+        for q in _SCAN_RATIOS:
+            try:
+                got.append(len(_poisson_table(D, q * r, ctl)))
+            except SeriesTruncationError as e:
+                got.append(float(e.achieved))
+        assert got == list(_SCAN_CUTS[n, r])
+        assert [type(v) for v in got] == [type(v) for v in _SCAN_CUTS[n, r]]
 
 
 @pytest.mark.parametrize("n, r, q", [

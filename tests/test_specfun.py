@@ -213,6 +213,43 @@ def test_radial_sweep_matches_scalar_loop(n):
         assert np.array_equal(G_k(dim, ks, z), [G_k(dim, k, z) for k in range(601)])
 
 
+# SHA-256 prefixes of the order arrays of _BLOCK_RANGES at the z of
+# test_block_requests_keep_the_array_bits, as F_k gave them before ranges
+# were block requests
+_BLOCK_DIGESTS = {
+    3: "32104379347044bb",
+    4: "d35ac872e5e52b69",
+    5: "0b3c70765a1d19df",
+    6: "860ae4ef768eb406",
+    7: "9355ece215746350",
+    8: "e9f1171633e284a1",
+}
+# whole blocks, one cut below its end, an empty range and one across two blocks
+_BLOCK_RANGES = [range(0, 64), range(64, 192), range(192, 448), range(192, 300),
+                 range(70, 70), range(40, 100)]
+
+
+@pytest.mark.parametrize("n", list(_BLOCK_DIGESTS))
+def test_block_requests_keep_the_array_bits(n):
+    # a range of orders is the radial records' one-block request: it gives
+    # the bits of the array of its orders and of the scalar calls
+    dim, digest = Dimension(n), hashlib.sha256()
+    for z in (0.0, 0.04, 0.36, 0.9025, 0.999):
+        for orders in _BLOCK_RANGES:
+            block = F_k(dim, orders, z)
+            assert block.tobytes() == F_k(dim, np.arange(orders.start, orders.stop), z).tobytes()
+            digest.update(block.tobytes())
+            # every 16th order and the last: each scalar call runs its own
+            # recurrence, 6 ms at z = 0.999
+            ks = sorted({*orders[::16], *orders[-1:]})
+            assert [F_k(dim, k, z) for k in ks] == block[[k - orders.start for k in ks]].tolist()
+        assert F_k(dim, range(0, 64), z)[0] == 1.0
+    assert digest.hexdigest()[:16] == _BLOCK_DIGESTS[n]
+    for orders in (range(-1, 5), range(0, 10, 2), range(5, 0, -1)):
+        with pytest.raises(ValueError):
+            F_k(dim, orders, 0.5)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("z, g_rel", [(0.9025, 1e-12), (0.98, 1e-12)])
 def test_radial_layer_against_mpmath(n, z, g_rel):
@@ -485,10 +522,15 @@ def test_as_order_matches_the_checked_conversion(k):
         assert got == want
 
 
-def test_block_end_of_an_int_matches_the_array_path():
-    ks = np.arange(100001)
-    assert [_block_end(k) for k in ks.tolist()] == _block_end(ks).tolist()
-    assert _block_end(np.array([0, 63, 64, 191, 192, 447, 448])).tolist() == [
+def test_block_end_matches_the_doubling_blocks():
+    # 0..63, then each block twice as long as the last
+    end, size = 63, 64
+    for k in range(100001):
+        if k > end:
+            size *= 2
+            end += size
+        assert _block_end(k) == end
+    assert [_block_end(k) for k in (0, 63, 64, 191, 192, 447, 448)] == [
         63, 63, 191, 191, 447, 447, 959,
     ]
 
