@@ -204,9 +204,10 @@ def simulate_cartesian(dim, x0, D, cfg):
     Brownian-bridge probability exp(-2 (r-rho0)(r-rho1)/s^2) for the
     radial component, s^2 = 2 dt (1-|X|^2)^2. The exit cosine is read at
     the estimated crossing point of the step segment (interpolated for a
-    step ending outside, the conditional-mean fraction for a bridge
-    exit). Censored paths (no exit within max_steps) are counted, not
-    dropped."""
+    step ending outside; for a bridge exit the linear fraction d0/(d0+d1)
+    of the step, d0 = r - rho0 and d1 = r - rho1, not the conditional mean
+    of the polar scheme). Censored paths (no exit within max_steps) are
+    counted, not dropped."""
     _check_ball(dim, D)
     n = dim.n
     r = D.r

@@ -1,10 +1,9 @@
 """Special-function substrate: the radial solutions F_k (bounded at 0) and
-G_k (vanishing at z = 1) of the hyperbolic Laplacian on the ball, their
-derivatives, Gegenbauer polynomials, and the Wronskian-type identity that
-ties F_k and G_k together. The one hypergeometric summation kernel is
-_hyp_sweep, the terminating series of positive terms behind even-n F_k and
-F_k' (after Pfaff's transformation); odd-n F_k comes from a backward
-recurrence in k, and odd-n F_k' from F_k and F_(k+1)."""
+G_k (vanishing at z = 1) of the hyperbolic Laplacian on the ball,
+Gegenbauer polynomials, and the discrete Wronskian identity that ties F_k
+and G_k together. The one hypergeometric summation kernel is _hyp_sweep,
+the terminating series of positive terms behind even-n F_k (after Pfaff's
+transformation); odd-n F_k comes from a backward recurrence in k."""
 
 import functools
 import math
@@ -58,19 +57,6 @@ def _as_order(k):
     if np.any(ka < 0) or np.any(ka != np.round(ka)):
         raise ValueError("k must be a non-negative integer")
     return ka.astype(int) if ka.ndim else int(ka)
-
-
-def _f_derivative(dim, k, z):
-    """F_k'(z) at the orders of the int array k: for even n, -k rho/(k+n/2)
-    (1-z)^(rho-1) F(n/2, 1-rho; k+1+n/2; z/(z-1)) (DLMF 15.5.1, 15.8.1), a
-    sweep of positive terms; for odd n, the contiguous relation (1-z) F_k' =
-    k F_k - k(k+n-1)/(k+n/2) F_(k+1) on two array F_k calls."""
-    half = dim.n / 2
-    if dim.is_even:
-        return (-k * dim.rho / (k + half) * (1 - z) ** (dim.rho - 1)
-                * _hyp_sweep(half, 1 - dim.rho, k + 1 + half, z / (z - 1)))
-    f, f_next = F_k(dim, k, z), F_k(dim, k + 1, z)
-    return (k * f - k * (k + dim.n - 1) / (k + half) * f_next) / (1 - z)
 
 
 def _block_end(k):
@@ -234,20 +220,6 @@ def _g0_values(dim, zs):
             for z in zs]
 
 
-def _g0_derivative(dim, z):
-    """G_0'(z): the derivative of _g0_values' form on z's side of the split,
-    term by term."""
-    n, rho = dim.n, dim.rho
-    if z >= _G0_SPLIT:
-        (w,), (size,), (t,) = _g0_series_terms(n, [z])
-        h, wdh = t[:size].sum(), t[1:size] @ np.arange(1, size)
-        return float(-rho / (n - 1) * w ** (n - 2) * ((n - 1) * h + wdh))
-    coeffs, amp = _g0_terms(n)
-    lz, dlz = (math.log(z), 1 / z) if dim.is_even else (1.0, 0.0)
-    dval = sum(i * c * z ** (i - 1) for i, c in coeffs.items() if i > 0)
-    return dval + amp * (rho * z ** (rho - 1) * lz + z**rho * dlz)
-
-
 def _bernstein_means(c, z):
     """[sum_i binom(m, i) c_i (1-z)^i z^(m-i) for m = 0 .. len(c)-1] by de
     Casteljau steps c_j <- z c_j + (1-z) c_(j+1): convex combinations, so
@@ -259,25 +231,14 @@ def _bernstein_means(c, z):
     return out
 
 
-def _g_derivative(dim, k, z, g):
-    """G_k'(z) at the orders of the int array k, g = [G_0(z), .., G_K(z)], K >=
-    max k: (1-z) G_k' = (k-1)(n+k-2)/(n/2+k-2) G_(k-1) - (n+k-2) G_k for k >= 1,
-    from w S_m' = m (S_m - S_(m-1)), S_m = F(-m, n/2; n; w) (DLMF 15.5), on
-    G_k's Bernstein form. G_0' is from G_0's own form (_g0_derivative), as
-    the k = 0 Wronskian identity is G_0's ODE and would check nothing."""
-    n, up = dim.n, k >= 1
-    j = k[up]  # n/2+k-2 is 0 at n = 4, k = 0
-    out = np.full(k.shape, _g0_derivative(dim, z))
-    out[up] = ((j - 1) * (n + j - 2) / (n / 2 + j - 2) * g[j - 1] - (n + j - 2) * g[j]) / (1 - z)
-    return out
-
-
 def G_k(dim, k, z):
     """Second radial solution, the one that vanishes at z = 1:
     F(-rho, 2-k-n; 2-k-n/2; z) - c z^(k+rho) F_k(z) with G_k(1) = 0 (c = 0
-    for even n at k = 0 and odd n at k >= 1); neither the Wronskian identity
-    nor the Green coefficient's bracket depends on c. G_0 is _g0_values; for
-    k >= 1 (DLMF 15.10 with Pfaff's transformation) and p_i = (n/2)_i/(n)_i,
+    for even n at k = 0 and odd n at k >= 1). The Green coefficient's bracket
+    does not depend on c, but the image series of green_function does; for
+    k >= 1 the discrete Wronskian identity (wronskian_residual) fixes c.
+    G_0 is _g0_values; for k >= 1 (DLMF 15.10 with Pfaff's transformation)
+    and p_i = (n/2)_i/(n)_i,
 
         G_k(z) = (1-z)^(n-1) / p_(k-1) * sum_(i<k) binom(k-1, i) p_i (1-z)^i z^(k-1-i),
 
@@ -361,20 +322,23 @@ def gegenbauer_at_one(v, k):
 
 
 def wronskian_residual(dim, k, z):
-    """Residual of the cross-solution identity
+    """Residual of the discrete Wronskian (Casoratian) identity
 
-        (k+rho) F_k G_k + z F_k' G_k - z F_k G_k' = (k+rho)(1-z)^(n-2)
+        F_k G_(k+1) - z a_k F_(k+1) G_k = (1-z)^(n-1),  a_k = k(k+n-1)/((k+n/2-1)(k+n/2)),
 
-    on one F_k and one G_k array, F_k' from _f_derivative and G_k' from
-    _g_derivative; should vanish to roundoff for all admissible (n, k, z). k
-    is a non-negative integer, or an integer array (each entry a scalar
-    call's bits)."""
+    of F_k and G_k (G_k times a factor in k solves F_k's recurrence, see
+    F_k; Gautschi, SIAM Review 9, 1967), divided by the sum of the two terms
+    on the left: roundoff for all admissible (n, k, z). Read from one F_k
+    range and one G_k array of the orders 0 .. max k + 1. k is a
+    non-negative integer, or an integer array (each entry a scalar call's
+    bits)."""
     k = _as_order(k)
     if not 0 < z < 1:
         raise ValueError("needs z in (0, 1)")
     ks = np.atleast_1d(k)
-    g = G_k(dim, np.arange(ks.max(initial=0) + 1), z)
-    f, gk, rk = F_k(dim, ks, z), g[ks], ks + dim.rho
-    out = rk * f * gk + z * _f_derivative(dim, ks, z) * gk - z * f * _g_derivative(dim, ks, z, g)
-    out -= rk * (1 - z) ** (dim.n - 2)
+    top = int(ks.max(initial=0)) + 2
+    f, g = F_k(dim, range(top), z), G_k(dim, np.arange(top), z)
+    a = ks * (ks + dim.n - 1) / ((ks + dim.n / 2 - 1) * (ks + dim.n / 2))
+    left, right = f[ks] * g[ks + 1], z * a * f[ks + 1] * g[ks]
+    out = (left - right - (1 - z) ** (dim.n - 1)) / (left + right)
     return out if np.ndim(k) else float(out[0])

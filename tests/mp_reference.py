@@ -16,12 +16,6 @@ def f_value(n, k, z):
     return mp.hyp2f1(k, -mp.mpf(n - 2) / 2, k + mp.mpf(n) / 2, z)
 
 
-def f_derivative(n, k, z):
-    """F_k'(z) = (ab/c) F(a+1, b+1; c+1; z) with (a, b, c) = (k, -rho, k + n/2)."""
-    a, b, c = k, -mp.mpf(n - 2) / 2, k + mp.mpf(n) / 2
-    return a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, z)
-
-
 def _g_series(n, k, z):
     """The second solution F(-rho, 2-k-n; 2-k-n/2; z). For even n its lower
     parameter is a non-positive integer: for k >= 1 the series is cut after

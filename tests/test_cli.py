@@ -230,8 +230,9 @@ _ROW_DIGESTS = {
     ("green-closed", "--n", "6", "--theta-grid", "256"): "45a7563c4bb77e66",
     ("coeffs", "--kmax", "40"): "1656532786078cd9",
     ("identity-check", "--suite", "normalization", "--n", "5"): "ecfd43fc212ef2cf",
-    # one F_k and one G_k array per (n, z), G_k' by the contiguous relation
-    ("identity-check", "--suite", "wronskian", "--n", "3..8"): "9b7d5274fd419df8",
+    # the discrete identity on one F_k range and one G_k array per (n, z),
+    # k = 1..30 against 1e-12 relative to its terms
+    ("identity-check", "--suite", "wronskian", "--n", "3..8"): "168fd58fa91c2fbc",
 }
 
 
@@ -464,7 +465,7 @@ def test_identity_check_wronskian_passes(tmp_path):
     assert run(parse_config(argv)) == 0
     header, _, rows = read_table(out)
     assert "# pass=true" in header
-    assert len(rows) == 6 * 31
+    assert len(rows) == 6 * 30
     assert all(r[-1] == "true" for r in rows)
 
 

@@ -359,12 +359,12 @@ def test_green_validation():
 
 
 def test_green_swap_symmetry():
+    # symmetric by construction: the image table is keyed on the ordered
+    # radii, and every other quantity commutes
     D = ball(6)
     x = Point([0.15, 0.1, 0, 0, 0, 0])
     y = Point([-0.2, 0.33, 0, 0, 0, 0])
-    assert green_function(D, x, y) == pytest.approx(
-        green_function(D, y, x), rel=1e-12
-    )
+    assert green_function(D, x, y) == green_function(D, y, x)
 
 
 def test_green_positive_and_vanishing_at_boundary():
